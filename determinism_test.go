@@ -51,10 +51,13 @@ func assertSameOutcome(t *testing.T, context string, a, b *explore.Result) {
 }
 
 // TestParallelDeterminismRandom: Workers:8 random search reproduces the
-// Workers:1 result bit for bit on every registered benchmark.
+// Workers:1 result bit for bit on every registered benchmark, the
+// Servers() ports included: they drive the cooperative thread scheduler
+// hardest, and concurrent executions sharing any port state show up
+// here as drift (or, under -race, as a report).
 func TestParallelDeterminismRandom(t *testing.T) {
 	execs := scaled(200)
-	for _, b := range benchmarks.All() {
+	for _, b := range append(benchmarks.All(), benchmarks.Servers()...) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			opt := explore.Options{Mode: explore.Random, Executions: execs, Seed: 11}

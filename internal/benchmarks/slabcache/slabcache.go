@@ -70,10 +70,8 @@ type Cache struct {
 func New(v bench.Variant) *Cache { return &Cache{v: v} }
 
 // Init creates the persistent root: the direct-indexed item table for
-// keys 1..keys. It also resets the volatile freelists, which a fresh
-// phase (post-crash) must not inherit.
+// keys 1..keys.
 func (c *Cache) Init(th *pmem.Thread, keys int) {
-	c.free = nil
 	w := th.World()
 	table := w.Heap.AllocLines((keys*memmodel.WordSize + memmodel.CacheLineSize - 1) / memmodel.CacheLineSize)
 	th.Store(scTableAddr, memmodel.Value(table), "item table base in slabs_init")
@@ -178,8 +176,9 @@ func (c *Cache) Restart(th *pmem.Thread, keys int) {
 
 // BuildWorkload constructs the exploration program: initialize the
 // cache, drive the configured request stream, crash, warm-restart.
+// Each phase builds its own Cache, so concurrent executions share no
+// freelists and the post-crash phase inherits none.
 func BuildWorkload(v bench.Variant, wcfg workload.Config) explore.Program {
-	c := New(v)
 	cfg := wcfg
 	if cfg.Keys <= 0 {
 		cfg.Keys = 64
@@ -188,6 +187,7 @@ func BuildWorkload(v bench.Variant, wcfg workload.Config) explore.Program {
 		ProgName: "SlabCache-" + v.String(),
 		PhaseFns: []func(*pmem.World){
 			func(w *pmem.World) {
+				c := New(v)
 				c.Init(w.Thread(0), cfg.Keys)
 				workload.Drive(w, cfg, c)
 				th := w.Thread(0)
@@ -195,7 +195,7 @@ func BuildWorkload(v bench.Variant, wcfg workload.Config) explore.Program {
 				th.Persist(scMarkerAddr, memmodel.WordSize, "persist driver marker")
 			},
 			func(w *pmem.World) {
-				c.Restart(w.Thread(0), cfg.Keys)
+				New(v).Restart(w.Thread(0), cfg.Keys)
 			},
 		},
 	}

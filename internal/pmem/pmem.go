@@ -7,9 +7,13 @@
 //
 // A World couples one simulated machine with one checker and a read
 // policy. Simulated threads are either inline (the test driver scripts
-// the interleaving itself) or spawned (cooperative goroutines scheduled
+// the interleaving itself) or spawned (cooperative threads scheduled
 // one operation at a time, so executions stay serialized and
-// reproducible).
+// reproducible). Each spawned thread runs as an iter.Pull coroutine:
+// the body yields before every operation, and the scheduler resumes the
+// thread its random source picks, so handing control between threads is
+// a direct coroutine switch rather than a channel round trip through
+// the Go scheduler.
 //
 // Crash points follow the paper's §6.1: the exploration harness sets a
 // crash target k, and the world injects a crash immediately before the
@@ -121,7 +125,8 @@ type Config struct {
 // is fully self-contained — machine, trace, checker, heap, scheduler,
 // and random source — so concurrent executions on distinct Worlds never
 // share mutable state; within one World, operations must stay on a
-// single goroutine.
+// single goroutine, apart from spawned threads, whose coroutines the
+// scheduler runs one at a time.
 type World struct {
 	M       persist.Model
 	Checker *core.Checker

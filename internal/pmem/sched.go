@@ -1,27 +1,53 @@
+//go:build go1.23
+
 package pmem
 
 import (
+	"iter"
+
 	"repro/internal/memmodel"
 )
 
-// simThread is a spawned cooperative thread. The goroutine running the
-// body parks before every operation; the scheduler grants one operation
-// at a time, so the whole simulation stays serialized: no two simulated
-// operations ever run concurrently.
+// simThread is a spawned cooperative thread. Its body runs as an
+// iter.Pull coroutine: the body yields before every operation and the
+// scheduler grants one operation at a time by resuming it, so the whole
+// simulation stays serialized: no two simulated operations ever run
+// concurrently. A grant is a direct coroutine switch, with no channel
+// operation or trip through the Go scheduler's run queue.
 type simThread struct {
-	t    *Thread
-	body func(*Thread)
-	run  chan struct{} // scheduler -> thread: perform one step
-	park chan struct{} // thread -> scheduler: parked at a boundary (or done)
-	done bool
-	err  any // non-crash panic from the body, re-raised by the scheduler
+	t     Thread
+	body  func(*Thread)
+	yield func(struct{}) bool // parks the body; set when the coroutine starts
+	next  func() (struct{}, bool)
+	stop  func()
+	err   any // non-crash panic from the body, re-raised by the scheduler
 }
 
 // parkAndWait is called from Thread.step for spawned threads: hand
 // control back to the scheduler and wait to be granted the next step.
+// A false yield means the scheduler stopped the coroutine while it was
+// parked; the body unwinds like any crashed thread.
 func (st *simThread) parkAndWait() {
-	st.park <- struct{}{}
-	<-st.run
+	if !st.yield(struct{}{}) {
+		panic(CrashSignal{})
+	}
+}
+
+// run is the coroutine body. It swallows crash and abort unwinds, which
+// the scheduler raises on the phase's stack itself, and keeps any other
+// panic for the scheduler to re-raise there.
+func (st *simThread) run(yield func(struct{}) bool) {
+	st.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			switch r.(type) {
+			case CrashSignal, AbortSignal:
+			default:
+				st.err = r
+			}
+		}
+	}()
+	st.body(&st.t)
 }
 
 // Spawn registers a simulated thread whose body runs under the
@@ -29,12 +55,8 @@ func (st *simThread) parkAndWait() {
 // Spawned threads must issue all shared-state accesses through their
 // Thread handle; plain Go state must stay thread-local.
 func (w *World) Spawn(id memmodel.ThreadID, body func(*Thread)) {
-	st := &simThread{
-		body: body,
-		run:  make(chan struct{}),
-		park: make(chan struct{}),
-	}
-	st.t = &Thread{ID: id, w: w, sim: st}
+	st := &simThread{body: body}
+	st.t = Thread{ID: id, w: w, sim: st}
 	w.registerThread(id)
 	w.spawned = append(w.spawned, st)
 }
@@ -43,51 +65,31 @@ func (w *World) Spawn(id memmodel.ThreadID, body func(*Thread)) {
 // them one operation at a time. The schedule is drawn from the world's
 // random source, so a seed fully determines the interleaving. If any
 // thread hits the crash target, every other thread is unwound and
-// RunThreads panics with CrashSignal, crashing the phase.
+// RunThreads panics with CrashSignal, crashing the phase. No coroutine
+// outlives the call, however it ends.
 func (w *World) RunThreads() {
-	threads := w.spawned
+	live := w.spawned
 	w.spawned = nil
-	if len(threads) == 0 {
+	if len(live) == 0 {
 		return
 	}
-	for _, st := range threads {
-		go func(st *simThread) {
-			defer func() {
-				if r := recover(); r != nil {
-					switch r.(type) {
-					case CrashSignal, AbortSignal:
-						// Crash/abort unwound the body; the scheduler
-						// raises the signal on the phase's stack.
-					default:
-						st.err = r
-					}
-				}
-				st.done = true
-				st.park <- struct{}{}
-			}()
-			<-st.run // wait for the first grant
-			st.body(st.t)
-		}(st)
+	for _, st := range live {
+		st.next, st.stop = iter.Pull(st.run)
 	}
-	live := append([]*simThread(nil), threads...)
 	aborted := false
 	for len(live) > 0 {
 		st := live[w.rng.Intn(len(live))]
-		st.run <- struct{}{}
-		<-st.park
-		if st.done {
+		if _, ok := st.next(); !ok {
 			if st.err != nil {
-				// Unwind the remaining threads before re-raising, so no
-				// goroutine is left blocked on its run channel.
 				w.crashed = true
-				drainThreads(live, st)
+				unwind(live, st)
 				panic(st.err)
 			}
 			live = remove(live, st)
 		}
 		if w.crashed || w.ops > w.opLimit {
 			aborted = w.ops > w.opLimit
-			drainThreads(live, st)
+			unwind(live, st)
 			live = nil
 		}
 	}
@@ -99,15 +101,19 @@ func (w *World) RunThreads() {
 	}
 }
 
-// drainThreads wakes every live thread except skip so each one observes
-// the crash in step, unwinds, and parks done.
-func drainThreads(live []*simThread, skip *simThread) {
-	for _, other := range live {
-		if other == skip || other.done {
-			continue
+// unwind resumes every live thread except skip once, so a parked thread
+// observes the crash or abort in World.step and unwinds, and a thread
+// never granted a step runs up to its first operation, as its first
+// grant would. It then stops every live coroutine, which unwinds any
+// still parked.
+func unwind(live []*simThread, skip *simThread) {
+	for _, st := range live {
+		if st != skip {
+			st.next()
 		}
-		other.run <- struct{}{}
-		<-other.park
+	}
+	for _, st := range live {
+		st.stop()
 	}
 }
 
