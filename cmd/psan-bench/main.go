@@ -126,7 +126,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	metricsAddr := fs.String("metrics-addr", "", "serve campaign metrics over HTTP on this address (/metrics OpenMetrics text, /metrics.json JSON snapshot, /debug/vars expvar)")
 	progress := fs.Duration("progress", 0, "print live campaign progress to stderr at this interval (0: off)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace_event timeline to this file (plus <file>.jsonl) on exit")
-	reduction := fs.String("reduction", "all", "model-check reductions: all, snapshots, dpor, or none (A/B timing; tables are identical either way)")
+	reduction := fs.String("reduction", "all", "model-check reductions: all (prefix snapshots on) or none (A/B timing; tables are identical either way)")
 	window := fs.Int("window", 0, "bounded trace window for -workload runs: retire trace history every N operations, keeping memory flat (0: unbounded; verdicts are identical either way)")
 	workloadName := fs.String("workload", "", "stream a server-class workload instead of tables: redis (append-log+dict) or slab (slab cache)")
 	wlVariant := fs.String("variant", "fixed", "workload variant: fixed or buggy")
@@ -142,7 +142,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	disableSnaps, disableDPOR, err := explore.ParseReduction(*reduction)
+	disableSnaps, err := explore.ParseReduction(*reduction)
 	if err != nil {
 		fmt.Fprintf(stderr, "psan-bench: -reduction: %v\n", err)
 		return 2
@@ -212,7 +212,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}, stdout, stderr)
 	}
 	if *jsonOut != "" {
-		if err := runBenchJSON(*jsonOut, *benchDesc, *reduction, *benchCount, workerList, disableSnaps, disableDPOR, !*steal, stdout); err != nil {
+		if err := runBenchJSON(*jsonOut, *benchDesc, *reduction, *benchCount, workerList, disableSnaps, !*steal, stdout); err != nil {
 			fmt.Fprintf(stderr, "psan-bench: -json: %v\n", err)
 			return 2
 		}
@@ -221,8 +221,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opt := report.Options{
 		Executions: *execs, Seed: *seed, Workers: workerList[0], Deadline: *deadline, Model: *model,
 		Obs: observer, Context: ctx,
-		DisableSnapshots: disableSnaps, DisableDPOR: disableDPOR,
-		DisableStealing: !*steal,
+		DisableSnapshots: disableSnaps,
+		DisableStealing:  !*steal,
 	}
 	if *violations != "" {
 		out, err := report.Violations(*violations, opt)
@@ -455,7 +455,7 @@ func parseWorkerList(s string) ([]int, error) {
 // instead of transcribed by hand. The -reduction and -steal flags
 // apply, and the parallel rows sweep every -workers entry — the
 // one-command scaling A/B behind EXPERIMENTS.md.
-func runBenchJSON(path, desc, reduction string, count int, workerList []int, disableSnaps, disableDPOR, disableSteal bool, stdout io.Writer) error {
+func runBenchJSON(path, desc, reduction string, count int, workerList []int, disableSnaps, disableSteal bool, stdout io.Writer) error {
 	if count < 1 {
 		count = 1
 	}
@@ -478,7 +478,6 @@ func runBenchJSON(path, desc, reduction string, count int, workerList []int, dis
 						Executions:       200,
 						Workers:          workers,
 						DisableSnapshots: disableSnaps,
-						DisableDPOR:      disableDPOR,
 						DisableStealing:  disableSteal,
 					})
 					if res.Executions == 0 {

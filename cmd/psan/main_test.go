@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -83,6 +84,38 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if code, _, _ := cli(t, "-mode", "bogus", "../../testdata/figure2.pm"); code != 2 {
 		t.Fatal("bad mode must exit 2")
+	}
+}
+
+// TestCLIReductionValues: -reduction accepts exactly all and none; the
+// values earlier releases also took (listed in
+// testdata/retired-reductions.txt) exit 2 with the unknown-reduction
+// error instead of silently running some other configuration.
+func TestCLIReductionValues(t *testing.T) {
+	for _, v := range []string{"all", "none"} {
+		if code, _, errOut := cli(t, "-mode", "mc", "-reduction", v, "../../testdata/figure2.pm"); code != exitViolations {
+			t.Fatalf("-reduction %s: exit %d, want %d: %q", v, code, exitViolations, errOut)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "retired-reductions.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := 0
+	for _, v := range strings.Split(string(data), "\n") {
+		v = strings.TrimSpace(v)
+		if v == "" || strings.HasPrefix(v, "#") {
+			continue
+		}
+		retired++
+		code, _, errOut := cli(t, "-mode", "mc", "-reduction", v, "../../testdata/figure2.pm")
+		if code != exitInternal || !strings.Contains(errOut, "unknown reduction") {
+			t.Fatalf("-reduction %s: exit %d, want %d with an unknown-reduction error: %q",
+				v, code, exitInternal, errOut)
+		}
+	}
+	if retired == 0 {
+		t.Fatal("no retired reduction values to check")
 	}
 }
 

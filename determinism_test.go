@@ -71,7 +71,7 @@ func TestParallelDeterminismRandom(t *testing.T) {
 }
 
 // reductionVariants names the two reduction settings the model-check
-// determinism tests must hold under: the default (snapshots + DPOR on)
+// determinism tests must hold under: the default (prefix snapshots on)
 // and the -reduction none escape hatch.
 var reductionVariants = []struct {
 	name    string
@@ -94,7 +94,7 @@ func TestParallelDeterminismModelCheck(t *testing.T) {
 				t.Run(b.Name, func(t *testing.T) {
 					opt := explore.Options{
 						Mode: explore.ModelCheck, Executions: execs,
-						DisableSnapshots: v.disable, DisableDPOR: v.disable,
+						DisableSnapshots: v.disable,
 					}
 					opt.Workers = 1
 					serial := explore.Run(b.Build(bench.Buggy), opt)
@@ -203,7 +203,7 @@ func TestCancelResumeDeterminismModelCheck(t *testing.T) {
 				t.Run(b.Name, func(t *testing.T) {
 					opt := explore.Options{
 						Mode: explore.ModelCheck, Executions: execs, Workers: 4,
-						DisableSnapshots: v.disable, DisableDPOR: v.disable,
+						DisableSnapshots: v.disable,
 					}
 					full := explore.Run(b.Build(bench.Buggy), opt)
 
@@ -249,18 +249,21 @@ func TestCancelResumeDeterminismModelCheck(t *testing.T) {
 // machinery can produce, reproducibly at any worker count — and the
 // result must match a DisableStealing serial run bit for bit, at 1, 4,
 // and 16 workers, with the reductions on and off, including where the
-// Executions cap truncates the search.
+// Executions cap truncates the search. The multi-worker runs must
+// actually steal (summed over the ports), or the comparison is vacuous.
 func TestStealDeterminismModelCheck(t *testing.T) {
 	execs := scaled(400)
 	for _, v := range reductionVariants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
+			steals, ran := 0, 0
 			for _, b := range benchmarks.All() {
 				b := b
 				t.Run(b.Name, func(t *testing.T) {
+					ran++
 					opt := explore.Options{
 						Mode: explore.ModelCheck, Executions: execs,
-						DisableSnapshots: v.disable, DisableDPOR: v.disable,
+						DisableSnapshots: v.disable,
 					}
 					opt.Workers = 1
 					opt.DisableStealing = true
@@ -271,11 +274,17 @@ func TestStealDeterminismModelCheck(t *testing.T) {
 						opt.Workers = workers
 						stolen := explore.Run(b.Build(bench.Buggy), opt)
 						assertSameOutcome(t, b.Name, baseline, stolen)
+						if workers > 1 {
+							steals += stolen.Steals
+						}
 					}
 					if baseline.Executions == 0 {
 						t.Fatal("no executions ran")
 					}
 				})
+			}
+			if ran == len(benchmarks.All()) && steals == 0 && !t.Failed() {
+				t.Fatal("forced stealing never donated a unit at 4 or 16 workers — the comparison proves nothing")
 			}
 		})
 	}

@@ -22,7 +22,7 @@ const WorkerBinEnv = "PSAN_WORKER_BIN"
 type Options struct {
 	// Explore carries the campaign knobs, interpreted as in explore.Run:
 	// Workers is the worker-process count, Executions/Seed/Model/
-	// reductions define the canonical stream, Resume continues a v3
+	// reductions define the canonical stream, Resume continues a
 	// checkpoint, Deadline/Context stop the campaign. Obs instruments
 	// the supervisor (dispatch.* bundle) and receives the fleet
 	// telemetry: worker processes run matching sinks and ship metric
@@ -271,7 +271,6 @@ func (s *supervisor) seedUnits() {
 			Started:   ck.MC.Started,
 			Trail:     ck.MC.Trail,
 			SpawnNext: ck.MC.SpawnNext,
-			DPORKeys:  ck.MC.DPORKeys,
 			CacheKeys: append([]explore.CacheEntry(nil), ck.MC.CacheKeys...),
 		}
 		s.mcKeys = append(s.mcKeys, ck.MC.CacheKeys...)
@@ -663,7 +662,6 @@ func (s *supervisor) cutFor(u *unit) explore.Checkpoint {
 		Seed:    s.opt.Explore.Seed,
 		Model:   s.opt.Explore.Model.Name,
 		Window:  s.opt.Explore.Model.Window,
-		DPOR:    !s.opt.Explore.DisableDPOR,
 		MC:      u.spec.MC,
 	}
 	return ck

@@ -181,9 +181,6 @@ func sameResult(t *testing.T, got, want *explore.Result) {
 	if got.CacheHits != want.CacheHits || got.CacheMisses != want.CacheMisses {
 		t.Errorf("cache = %d/%d, want %d/%d", got.CacheHits, got.CacheMisses, want.CacheHits, want.CacheMisses)
 	}
-	if got.DPORPruned != want.DPORPruned {
-		t.Errorf("DPORPruned = %d, want %d", got.DPORPruned, want.DPORPruned)
-	}
 	if got.ExecutionsToAllBugs != want.ExecutionsToAllBugs {
 		t.Errorf("ExecutionsToAllBugs = %d, want %d", got.ExecutionsToAllBugs, want.ExecutionsToAllBugs)
 	}
@@ -524,17 +521,17 @@ func runWithSkewedHello(t *testing.T, opt Options) *explore.Result {
 // stream-defining knobs, both modes.
 func TestProtoOptionsRoundTrip(t *testing.T) {
 	in := explore.Options{
-		Mode:        explore.ModelCheck,
-		Executions:  123,
-		Seed:        77,
-		DisableDPOR: true,
-		Provenance:  true,
-		OpLimit:     9,
-		StepTimeout: 250 * time.Millisecond,
+		Mode:             explore.ModelCheck,
+		Executions:       123,
+		Seed:             77,
+		DisableSnapshots: true,
+		Provenance:       true,
+		OpLimit:          9,
+		StepTimeout:      250 * time.Millisecond,
 	}
 	out := optionsFromWire(optionsToWire(in))
 	if out.Mode != in.Mode || out.Executions != in.Executions || out.Seed != in.Seed ||
-		out.DisableDPOR != in.DisableDPOR || out.Provenance != in.Provenance ||
+		out.DisableSnapshots != in.DisableSnapshots || out.Provenance != in.Provenance ||
 		out.OpLimit != in.OpLimit || out.StepTimeout != in.StepTimeout {
 		t.Errorf("round trip = %+v, want %+v", out, in)
 	}

@@ -1,9 +1,9 @@
 // Supervisor↔worker wire protocol: JSON lines over the worker process's
 // stdin (supervisor→worker) and stdout (worker→supervisor). The
 // vocabulary is deliberately the checkpoint format (internal/explore,
-// version 3): a work unit is described to the worker as a
+// version 4): a work unit is described to the worker as a
 // checkpoint-shaped cut, which the worker Validates against its own
-// program and options before running — a version/model/reduction skew
+// program and options before running — a version/model/window skew
 // between supervisor and worker binaries surfaces as a typed
 // explore.MismatchError in a fatal message, not as silently divergent
 // exploration.
@@ -52,7 +52,6 @@ type wireOptions struct {
 	NoSteering       bool   `json:"noSteering,omitempty"`
 	FreshWorlds      bool   `json:"freshWorlds,omitempty"`
 	DisableSnapshots bool   `json:"disableSnapshots,omitempty"`
-	DisableDPOR      bool   `json:"disableDPOR,omitempty"`
 	NoStateCache     bool   `json:"noStateCache,omitempty"`
 	DisableChecker   bool   `json:"disableChecker,omitempty"`
 	Provenance       bool   `json:"provenance,omitempty"`
@@ -72,7 +71,6 @@ func optionsToWire(opt explore.Options) wireOptions {
 		NoSteering:       opt.NoSteering,
 		FreshWorlds:      opt.FreshWorlds,
 		DisableSnapshots: opt.DisableSnapshots,
-		DisableDPOR:      opt.DisableDPOR,
 		NoStateCache:     opt.NoStateCache,
 		DisableChecker:   opt.DisableChecker,
 		Provenance:       opt.Provenance,
@@ -91,7 +89,6 @@ func optionsFromWire(w wireOptions) explore.Options {
 		NoSteering:       w.NoSteering,
 		FreshWorlds:      w.FreshWorlds,
 		DisableSnapshots: w.DisableSnapshots,
-		DisableDPOR:      w.DisableDPOR,
 		NoStateCache:     w.NoStateCache,
 		DisableChecker:   w.DisableChecker,
 		Provenance:       w.Provenance,

@@ -6,7 +6,7 @@
 // execution streams are folded into a Result with exactly the engine's
 // collector semantics: global indices assigned in order, violations
 // merged first-found, truncation at the Executions cap, the cut at the
-// first unit with uncollected work, and a v3 checkpoint at the cut.
+// first unit with uncollected work, and a checkpoint at the cut.
 // Because the fold is a pure function of the unit streams, and each
 // unit's stream is deterministic in its spec, the assembled Result is
 // bit-identical to an in-process run's at any worker count, under any
@@ -88,7 +88,6 @@ func (a *Assembler) setCut(spec *UnitSpec) {
 func (a *Assembler) Add(spec UnitSpec, ur *UnitResult) {
 	a.res.WorkerTime += time.Duration(ur.WorkNanos)
 	a.res.SnapshotRestores += ur.SnapshotRestores
-	a.res.DPORPruned += ur.DPORPruned
 	if ur.Classified {
 		if ur.Class.Keyed {
 			a.cacheKeys = append(a.cacheKeys, ur.Class.Key)
@@ -167,7 +166,7 @@ func (a *Assembler) Finish(stopReason string) *Result {
 	return res
 }
 
-// checkpoint builds the v3 resume state at the cut. A model-check cut
+// checkpoint builds the resume state at the cut. A model-check cut
 // unit's spec is already checkpoint-shaped — its MC block names the cut
 // subtree, trail, and spawn flag — so the checkpoint is that block plus
 // the frozen cache-registration log. A cut unit that classified but
@@ -188,7 +187,6 @@ func (a *Assembler) checkpoint() *Checkpoint {
 		ViolationKeys: keysOf(a.seen),
 	}
 	if a.opt.Mode == ModelCheck {
-		ck.DPOR = !a.opt.DisableDPOR
 		mc := &MCCheckpoint{
 			CacheKeys:   a.ckKeys,
 			CacheHits:   a.ckHits,
@@ -199,7 +197,6 @@ func (a *Assembler) checkpoint() *Checkpoint {
 			mc.Started = a.cut.MC.Started
 			mc.Trail = a.cut.MC.Trail
 			mc.SpawnNext = a.cut.MC.SpawnNext
-			mc.DPORKeys = a.cut.MC.DPORKeys
 		}
 		ck.MC = mc
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pmem"
 )
 
 // counters snapshots the registry and returns the counter map plus a
@@ -122,13 +121,12 @@ func TestObsCountersUnderContainmentModelCheck(t *testing.T) {
 
 // TestObsCountersReductionsUnderContainment runs the model-check chaos
 // harness with the reductions active (the default) and pins the counter
-// invariants that the prefix-snapshot and DPOR machinery must preserve
-// under fault injection:
+// invariants that the prefix-snapshot machinery must preserve under
+// fault injection:
 //
 //   - the classification identity still balances — snapshot-resumed
-//     executions are started/completed like any other, and DPOR prunes
-//     are a subset of the pruned class;
-//   - the reduction counters agree exactly with the assembled Result;
+//     executions are started/completed like any other;
+//   - the snapshot counters agree exactly with the assembled Result;
 //   - state-cache registrations made inside a pruned-and-restored
 //     subtree must not leak into sibling subtrees: probes still balance
 //     against hits + misses and match the Result's cumulative stats
@@ -164,12 +162,6 @@ func TestObsCountersReductionsUnderContainment(t *testing.T) {
 	if got := c["explore.snapshots_restored"]; got != int64(res.SnapshotRestores) {
 		t.Fatalf("snapshots_restored counter %d != Result.SnapshotRestores %d", got, res.SnapshotRestores)
 	}
-	if got := c["explore.dpor_pruned"]; got != int64(res.DPORPruned) {
-		t.Fatalf("dpor_pruned counter %d != Result.DPORPruned %d", got, res.DPORPruned)
-	}
-	if got := c["explore.dpor_pruned"]; got > pruned {
-		t.Fatalf("dpor_pruned %d exceeds executions_pruned %d", got, pruned)
-	}
 	probes, hits, misses := c["statecache.probes"], c["statecache.hits"], c["statecache.misses"]
 	if probes == 0 || probes != hits+misses {
 		t.Fatalf("cache imbalance after restores: probes %d != hits %d + misses %d", probes, hits, misses)
@@ -183,7 +175,7 @@ func TestObsCountersReductionsUnderContainment(t *testing.T) {
 	off := Run(figure2(), Options{
 		Mode: ModelCheck, Executions: 10000, Workers: 8,
 		InjectFault:      injectEvery(4, 2, 3),
-		DisableSnapshots: true, DisableDPOR: true,
+		DisableSnapshots: true,
 	})
 	if got, want := res.ViolationKeys(), off.ViolationKeys(); !equalKeys(got, want) {
 		t.Fatalf("reductions changed the violation set\n  on:  %v\n  off: %v", got, want)
@@ -370,34 +362,27 @@ func TestStopReasonCancelAsFrontierDrains(t *testing.T) {
 }
 
 // TestStopReasonCancelAsFrontierDrainsModelCheck covers the same race
-// for both model-check engines (parallel, and the serial engine forced
-// by AfterExecution). The uninterrupted pilot run sizes the frontier so
-// the cancel can land exactly on the last collected execution.
+// for the model-check engine. The uninterrupted pilot run sizes the
+// frontier so the cancel can land exactly on the last collected
+// execution.
 func TestStopReasonCancelAsFrontierDrainsModelCheck(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		// Pilot the same engine uninterrupted to size its frontier (the
-		// serial engine runs cacheless and may enumerate more).
-		popt := Options{Mode: ModelCheck, Executions: 10000, Workers: 4}
-		if serial {
-			popt.AfterExecution = func(w *pmem.World) {}
-		}
-		total := Run(figure2(), popt).Executions
+	popt := Options{Mode: ModelCheck, Executions: 10000, Workers: 4}
+	total := Run(figure2(), popt).Executions
 
-		ctx, cancel := context.WithCancel(context.Background())
-		opt := popt
-		opt.Context = ctx
-		opt.Progress = func(exec int) {
-			if exec == total {
-				cancel()
-			}
+	ctx, cancel := context.WithCancel(context.Background())
+	opt := popt
+	opt.Context = ctx
+	opt.Progress = func(exec int) {
+		if exec == total {
+			cancel()
 		}
-		res := Run(figure2(), opt)
-		cancel()
-		if res.Partial {
-			t.Fatalf("serial=%v: run completed before the cancel, must not be partial: %s", serial, res)
-		}
-		if res.StopReason != "canceled" {
-			t.Fatalf("serial=%v: StopReason %q, want canceled", serial, res.StopReason)
-		}
+	}
+	res := Run(figure2(), opt)
+	cancel()
+	if res.Partial {
+		t.Fatalf("run completed before the cancel, must not be partial: %s", res)
+	}
+	if res.StopReason != "canceled" {
+		t.Fatalf("StopReason %q, want canceled", res.StopReason)
 	}
 }

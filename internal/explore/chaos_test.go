@@ -165,25 +165,45 @@ func TestPanicContainmentStealModelCheck(t *testing.T) {
 	}
 }
 
-// TestPanicContainmentSerialModelCheck covers the serial engine (forced
-// by AfterExecution): quarantined executions hand over no world.
-func TestPanicContainmentSerialModelCheck(t *testing.T) {
-	worlds := 0
-	res := Run(figure2(), Options{
-		Mode: ModelCheck, Executions: 10000, Workers: 1,
-		InjectFault:    injectEvery(6, 2, 3),
-		AfterExecution: func(w *pmem.World) { worlds++ },
+// TestPanicContainmentAfterExecution covers the world hand-over path
+// (random mode, the only mode AfterExecution supports): quarantined
+// executions hand over no world, at any worker count.
+func TestPanicContainmentAfterExecution(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		worlds := 0
+		res := Run(figure2(), Options{
+			Mode: Random, Executions: 120, Seed: 3, Workers: workers,
+			InjectFault:    injectEvery(6, 2, 3),
+			AfterExecution: func(w *pmem.World) { worlds++ },
+		})
+		if res.Partial {
+			t.Fatalf("workers=%d: containment must not stop the run: %s", workers, res)
+		}
+		if res.Quarantined == 0 {
+			t.Fatalf("workers=%d: expected quarantined executions: %s", workers, res)
+		}
+		if worlds != res.Executions-res.Quarantined {
+			t.Fatalf("workers=%d: got %d worlds for %d executions with %d quarantined",
+				workers, worlds, res.Executions, res.Quarantined)
+		}
+	}
+}
+
+// TestAfterExecutionModelCheckPanics: AfterExecution is random-mode
+// only; setting it on a model-check run is a programming error Run
+// reports by panicking with a message naming the field.
+func TestAfterExecutionModelCheckPanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "AfterExecution") || !strings.Contains(msg, "ModelCheck") {
+			t.Fatalf("want a panic naming AfterExecution and ModelCheck, got %v", r)
+		}
+	}()
+	Run(figure2(), Options{
+		Mode: ModelCheck, Executions: 10, Workers: 1,
+		AfterExecution: func(w *pmem.World) {},
 	})
-	if res.Partial {
-		t.Fatalf("containment must not stop the serial engine: %s", res)
-	}
-	if res.Quarantined == 0 {
-		t.Fatalf("expected quarantined executions: %s", res)
-	}
-	if worlds != res.Executions-res.Quarantined {
-		t.Fatalf("got %d worlds for %d executions with %d quarantined",
-			worlds, res.Executions, res.Quarantined)
-	}
 }
 
 func TestStepTimeout(t *testing.T) {

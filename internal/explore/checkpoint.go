@@ -38,14 +38,15 @@ func resolveModel(name string) string {
 
 // checkpointVersion guards the serialized format. Version 2 switched
 // the model-check trail to lazy crash-target consumption (decision
-// order = use order) and added the cut subtree's partial-order-
-// reduction registrations; version-1 trails describe a different
-// decision ordering and cannot be resumed. Version 3 added the
-// process-isolation supervisor's campaign state (Dispatch) and made the
-// format double as the supervisor↔worker wire vocabulary — a work unit
-// is described to a worker as a checkpoint-shaped cut, which the worker
-// Validates before running.
-const checkpointVersion = 3
+// order = use order); version-1 trails describe a different decision
+// ordering and cannot be resumed. Version 3 added the process-isolation
+// supervisor's campaign state (Dispatch) and made the format double as
+// the supervisor↔worker wire vocabulary — a work unit is described to a
+// worker as a checkpoint-shaped cut, which the worker Validates before
+// running. Version 4 dropped the crash-state partial-order reduction:
+// version-3 model-check checkpoints may carry its prune registrations
+// and a stream cut under it, so they are rejected rather than resumed.
+const checkpointVersion = 4
 
 // CheckpointVersion is the current format version, exported for the
 // dispatch supervisor, which shapes work units as checkpoints.
@@ -63,15 +64,11 @@ type Checkpoint struct {
 	// a different backend would merge incomparable results.
 	Model string `json:"model,omitempty"`
 	// Window records the retirement-window size the campaign ran under
-	// (0 = unbounded). A bounded window forces snapshots, DPOR, and the
-	// state cache off, which changes which executions the canonical
-	// stream contains, so a resume must use the same window.
+	// (0 = unbounded). A bounded window forces snapshots and the state
+	// cache off, which changes which executions the canonical stream
+	// contains, so a resume must use the same window. (Snapshots alone
+	// never change the stream and need no validation.)
 	Window int `json:"window,omitempty"`
-	// DPOR records whether the campaign ran with partial-order
-	// reduction. The reduction changes which executions the canonical
-	// stream contains, so a resume must run the same way; snapshots, by
-	// contrast, never change the stream and need no validation.
-	DPOR bool `json:"dpor,omitempty"`
 	// Collected is the canonical execution cursor: how many executions
 	// of the uninterrupted stream were collected before the cut. Random
 	// mode resumes at exactly this index.
@@ -135,24 +132,6 @@ type MCCheckpoint struct {
 	// final stats are cumulative.
 	CacheHits   int `json:"cacheHits"`
 	CacheMisses int `json:"cacheMisses"`
-	// DPORKeys are the cut subtree's partial-order-reduction
-	// registrations (the set is subtree-local; completed subtrees need
-	// none and unexplored ones rebuild theirs). Priming them reproduces
-	// the uninterrupted run's deeper-crash prune pattern after resume.
-	// Every component is path-deterministic (store IDs, label strings —
-	// never interner IDs), so the keys compare across processes.
-	DPORKeys []DPORKey `json:"dporKeys,omitempty"`
-}
-
-// DPORKey is one serialized partial-order-reduction registration: a
-// fully identified deeper crash state (see pool.go's dporKey).
-type DPORKey struct {
-	Phase   int    `json:"phase"`
-	Image   uint64 `json:"image"`
-	Heap    int    `json:"heap"`
-	Ops     int    `json:"ops"`
-	Checker uint64 `json:"checker"`
-	Trace   uint64 `json:"trace"`
 }
 
 // TrailEntry is one serialized DFS decision.
@@ -195,14 +174,22 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
+	if err := c.checkVersion(); err != nil {
+		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
+	}
+	return &c, nil
+}
+
+// checkVersion rejects a checkpoint written in another format version.
+func (c *Checkpoint) checkVersion() error {
 	if c.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint %s: %w", path, &MismatchError{
+		return &MismatchError{
 			Field: "version",
 			Have:  fmt.Sprintf("%d", c.Version),
 			Want:  fmt.Sprintf("%d", checkpointVersion),
-		})
+		}
 	}
-	return &c, nil
+	return nil
 }
 
 // MismatchError is a typed checkpoint-validation failure: the named
@@ -213,7 +200,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // say exactly which field disagreed for the supervisor's poison record
 // to be actionable.
 type MismatchError struct {
-	Field string // "version", "program", "mode", "seed", "model", "window", "dpor", "mc-state"
+	Field string // "version", "program", "mode", "seed", "model", "window", "mc-state"
 	Have  string // the checkpoint's side
 	Want  string // the resuming run's side
 }
@@ -225,8 +212,12 @@ func (e *MismatchError) Error() string {
 // Validate checks that the checkpoint belongs to the same campaign the
 // options describe; resuming a mismatched checkpoint would silently
 // explore garbage. Every failure is a *MismatchError naming the field
-// and both sides.
+// and both sides. The format version is checked first, so a dispatch
+// worker rejects a unit cut from a supervisor of another version.
 func (c *Checkpoint) Validate(program string, opt Options) error {
+	if err := c.checkVersion(); err != nil {
+		return err
+	}
 	if c.Program != program {
 		return &MismatchError{Field: "program", Have: fmt.Sprintf("%q", c.Program), Want: fmt.Sprintf("%q", program)}
 	}
@@ -245,17 +236,7 @@ func (c *Checkpoint) Validate(program string, opt Options) error {
 	if c.Mode == ModelCheck.String() && c.MC == nil {
 		return &MismatchError{Field: "mc-state", Have: "absent", Want: "present"}
 	}
-	if c.Mode == ModelCheck.String() && c.DPOR == opt.DisableDPOR {
-		return &MismatchError{Field: "dpor", Have: onOff(c.DPOR), Want: onOff(!opt.DisableDPOR)}
-	}
 	return nil
-}
-
-func onOff(v bool) string {
-	if v {
-		return "on"
-	}
-	return "off"
 }
 
 // trailFromCheckpoint rebuilds a controller trail.

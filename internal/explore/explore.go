@@ -159,16 +159,6 @@ type Options struct {
 	// phases are reentrant (see ReentrantPhases) and never to
 	// FreshWorlds runs.
 	DisableSnapshots bool
-	// DisableDPOR turns off crash-state partial-order reduction
-	// (ModelCheck mode): a deeper crash (phase >= 1) whose complete
-	// post-crash state — persistent image, allocator mark, op count,
-	// checker constraint state, committed trace — matches one already
-	// explored within the same subtree is normally pruned, because its
-	// continuation tree is identical to the one already enumerated.
-	// Unlike DisableSnapshots this changes Result.Executions (fewer
-	// executions run); the violation key set is unaffected. See
-	// DESIGN.md, "Prefix snapshots and partial-order reduction".
-	DisableDPOR bool
 	// DisableStealing turns off work stealing in the parallel model-check
 	// engine: when a worker's queue drains it normally carves the
 	// shallowest unexplored decision-trail cut off the busiest peer and
@@ -222,9 +212,9 @@ type Options struct {
 	// after its phases complete, letting post-hoc analyses (the baseline
 	// checkers of §6.4) inspect the trace. Like Progress it is
 	// serialized through the collector and called in execution-index
-	// order. In ModelCheck mode setting it forces the serial engine
-	// (Workers is ignored and the state cache is off), since the
-	// parallel engine does not retain worlds.
+	// order. It is Random mode only: the model-check engine reuses and
+	// snapshots its worlds, so none can escape, and Run panics if it is
+	// set with Mode ModelCheck.
 	AfterExecution func(*pmem.World)
 
 	// --- failure containment ---
@@ -296,40 +286,33 @@ type Options struct {
 // incompatible with. Bounded-window mode releases trace history behind
 // the retirement frontier, so every feature whose keys or replays reach
 // into retired state must go: crash-boundary snapshots (Trace.Mark is
-// unavailable once stores retire), DPOR and the post-crash state cache
-// (their keys hash committed history and persistent images whose
-// retired entries are gone). Verdicts are unaffected — the windowed-
-// equivalence suite proves the violation sets and final heaps
-// identical. Every engine entry point (Run, RunUnit, NewAssembler)
+// unavailable once stores retire) and the post-crash state cache (its
+// keys hash persistent images whose retired entries are gone).
+// Verdicts are unaffected — the windowed-equivalence suite proves the
+// violation sets and final heaps identical. Every engine entry point (Run, RunUnit, NewAssembler)
 // calls this, so window semantics are uniform across in-process,
 // worker, and supervisor paths.
 func (o *Options) applyWindowConstraints() {
 	if o.Model.Window > 0 {
 		o.DisableSnapshots = true
-		o.DisableDPOR = true
 		o.NoStateCache = true
 	}
 }
 
-// ParseReduction maps a -reduction flag value onto the two disable
-// options, the one vocabulary both CLIs share:
+// ParseReduction maps a -reduction flag value onto DisableSnapshots,
+// the one vocabulary both CLIs share:
 //
-//	all        snapshots and DPOR on (the default)
-//	snapshots  snapshots only (DPOR off)
-//	dpor       DPOR only (snapshots off)
-//	none       both off — the pre-reduction engine, for A/B timing
-func ParseReduction(name string) (disableSnapshots, disableDPOR bool, err error) {
+//	all   prefix snapshots on (the default)
+//	none  snapshots off — every execution replays from the program
+//	      start, for A/B timing and debugging
+func ParseReduction(name string) (disableSnapshots bool, err error) {
 	switch name {
 	case "", "all":
-		return false, false, nil
-	case "snapshots":
-		return false, true, nil
-	case "dpor":
-		return true, false, nil
+		return false, nil
 	case "none":
-		return true, true, nil
+		return true, nil
 	default:
-		return false, false, fmt.Errorf("unknown reduction %q (want all, snapshots, dpor, or none)", name)
+		return false, fmt.Errorf("unknown reduction %q (want all or none)", name)
 	}
 }
 
@@ -381,13 +364,6 @@ type Result struct {
 	// the assembled stream is bit-identical at any steal count — and is
 	// excluded from the determinism contract.
 	Steals int
-	// DPORPruned counts deeper (phase >= 1) crash states the ModelCheck
-	// engine pruned by partial-order reduction: their complete post-crash
-	// state matched one already enumerated in the same subtree. Unlike
-	// SnapshotRestores this reduces Executions; the violation key set is
-	// unaffected. Both are 0 in Random mode and in the serial
-	// (AfterExecution) engine.
-	DPORPruned int
 	// Window is the bounded-window size the run used
 	// (persist.Config.Window); 0 = classic unbounded traces.
 	Window int
@@ -593,6 +569,9 @@ func (s *stopper) done() <-chan struct{} { return s.ctx.Done() }
 
 // Run explores the program under the given options.
 func Run(p Program, opt Options) *Result {
+	if opt.Mode == ModelCheck && opt.AfterExecution != nil {
+		panic("explore: Options.AfterExecution is random-mode only; it must be nil with Mode ModelCheck")
+	}
 	if opt.Executions == 0 {
 		opt.Executions = 1000
 	}
@@ -613,7 +592,11 @@ func Run(p Program, opt Options) *Result {
 	var res *Result
 	switch opt.Mode {
 	case ModelCheck:
-		res = runModelCheck(p, opt, st)
+		// The exhaustive mode runs on Options.Workers scheduler workers
+		// draining a queue of DFS work units — one root unit per
+		// crash-target subtree, plus any units busy workers carve off
+		// their trails for idle peers (work stealing, pool.go).
+		res = newMCEngine(p, &opt, st).run()
 	default:
 		res = runRandom(p, opt, st)
 	}
@@ -653,18 +636,11 @@ func (r *Result) mergeViolations(seen map[string]bool, vs []*core.Violation, exe
 	}
 }
 
-// runPhases executes the program's phases in one world, injecting
-// crashes per crashTargets (one entry per non-final phase; a negative
-// target crashes at the end of the phase without injection). It reports
-// whether the execution aborted on its op budget, and for each non-final
-// phase whether the crash injection actually fired (false means the
-// phase ran to completion and crashed at its end).
-//
-// onCrash, when non-nil, is invoked after each crash (machine already
-// crashed, sealed image in place) with the phase index and whether the
-// injection fired; returning false abandons the remaining phases — the
-// state cache uses this to prune continuations it has already explored.
-// pruned reports whether that happened.
+// runPhases is the random-mode phase driver: it executes the program's
+// phases in one world, injecting crashes per crashTargets (one entry per
+// non-final phase; a target past the phase's fence-like operations
+// crashes at the end of the phase). It reports whether the execution
+// aborted on its op budget.
 //
 // Any panic other than pmem.AbortSignal is contained: runPhases returns
 // it as a structured execErr instead of unwinding the worker, leaving w
@@ -674,8 +650,7 @@ func (r *Result) mergeViolations(seen map[string]bool, vs []*core.Violation, exe
 // tr/tid attach a crash-resolution span per injected crash to the
 // worker's trace timeline; a nil tracer costs two nil checks and reads
 // no clock.
-func runPhases(p Program, w *pmem.World, crashTargets []int, onCrash func(phase int, fired bool) bool, tr *obs.Tracer, tid int) (aborted bool, injected []bool, pruned bool, execErr *ExecError) {
-	injected = make([]bool, len(crashTargets))
+func runPhases(p Program, w *pmem.World, crashTargets []int, tr *obs.Tracer, tid int) (aborted bool, execErr *ExecError) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(pmem.AbortSignal); ok {
@@ -693,18 +668,14 @@ func runPhases(p Program, w *pmem.World, crashTargets []int, onCrash func(phase 
 		} else {
 			w.SetCrashTarget(crashTargets[i])
 		}
-		crashed := w.RunPhase(phase)
+		w.RunPhase(phase)
 		if !last {
-			injected[i] = crashed
 			cs := tr.Now()
 			w.Crash()
 			tr.CompleteSince(tid, "explore", "crash-resolution", cs, -1)
-			if onCrash != nil && !onCrash(i, crashed) {
-				return false, injected, true, nil
-			}
 		}
 	}
-	return false, injected, false, nil
+	return false, nil
 }
 
 // runPhasesMC is the model-check-mode phase driver: it executes
@@ -725,10 +696,12 @@ func runPhases(p Program, w *pmem.World, crashTargets []int, onCrash func(phase 
 // enumerated separately (the pruning the upfront-consumption driver
 // achieved by closing all unreached domains).
 //
-// onCrash matches runPhases: invoked after each crash with the sealed
-// image in place; returning false abandons the remaining phases
-// (pruned). Panics other than pmem.AbortSignal are contained into
-// execErr; the caller must discard the world.
+// onCrash, when non-nil, is invoked after each crash with the sealed
+// image in place and whether the injection fired; returning false
+// abandons the remaining phases (pruned) — the state cache uses this to
+// skip a subtree it has already explored. Panics other than
+// pmem.AbortSignal are contained into execErr; the caller must discard
+// the world.
 func runPhasesMC(phases []func(*pmem.World), w *pmem.World, ctl *controller, startPhase int, onCrash func(phase int, fired bool) bool, tr *obs.Tracer, tid int) (aborted bool, pruned bool, execErr *ExecError) {
 	curDec, curTarget := -1, 0
 	defer func() {
@@ -1024,7 +997,7 @@ func randomExecution(p Program, opt *Options, plan *randomPlan, ws *workerState,
 		// past the end (crash after the last operation).
 		targets[i] = w.Rand().Intn(plan.pilotCounts[i] + 1)
 	}
-	aborted, _, _, execErr := runPhases(p, w, targets, nil, ws.tr, ws.tid)
+	aborted, execErr := runPhases(p, w, targets, ws.tr, ws.tid)
 	o := execOutcome{
 		index:   exec,
 		aborted: aborted,
@@ -1176,21 +1149,6 @@ func (c *controller) closeCurrent(idx int, domain int) {
 	c.trail[idx].domain = domain
 }
 
-// backtrack advances the trail to the next unexplored branch, returning
-// false when the search space is exhausted.
-func (c *controller) backtrack() bool {
-	for len(c.trail) > 0 {
-		last := &c.trail[len(c.trail)-1]
-		if last.domain < 0 || last.val+1 < last.domain {
-			last.val++
-			c.pos = 0
-			return true
-		}
-		c.trail = c.trail[:len(c.trail)-1]
-	}
-	return false
-}
-
 // mcWorld builds a fresh model-checking world whose read choices replay
 // and extend the controller's decision trail.
 func mcWorld(opt *Options, ctl *controller) *pmem.World {
@@ -1217,81 +1175,4 @@ func trailValues(trail []decision) []int {
 		vals[i] = d.val
 	}
 	return vals
-}
-
-// runModelCheck implements the exhaustive mode. The work runs on
-// Options.Workers scheduler workers draining a queue of DFS work units
-// — one root unit per crash-target subtree, plus any units busy
-// workers carve off their trails for idle peers (work stealing,
-// pool.go); an AfterExecution callback forces the serial engine, which
-// retains and hands over each world.
-func runModelCheck(p Program, opt Options, st *stopper) *Result {
-	if opt.AfterExecution != nil {
-		return runModelCheckSerial(p, opt, st)
-	}
-	return newMCEngine(p, &opt, st).run()
-}
-
-// runModelCheckSerial is the single-goroutine DFS: one controller walks
-// the whole decision tree, worlds are handed to AfterExecution as they
-// complete, and the state cache is off (every execution is observable).
-// Snapshots and DPOR are off too — every world escapes to the callback,
-// so none can be reused, and a reduction that skips executions would
-// hide them from the post-hoc analysis. The decision order (lazy
-// crash-target consumption, runPhasesMC) matches the parallel engine,
-// so both enumerate the same canonical stream. A stop yields a Partial
-// result without a checkpoint (this engine has no canonical subtree
-// cut; use the parallel engine for resumable campaigns). Chaos ordinals
-// here are global execution indices.
-func runModelCheckSerial(p Program, opt Options, st *stopper) *Result {
-	res := &Result{Program: p.Name(), Mode: ModelCheck, Workers: 1}
-	seen := make(map[string]bool)
-	start := time.Now()
-	ctl := &controller{}
-
-	for {
-		if st.stopped() {
-			res.Partial = true
-			res.noteStop(st.why())
-			break
-		}
-		ctl.pos = 0
-		execStart := time.Now()
-		opt.em.Started.Inc()
-		w := mcWorld(&opt, ctl)
-		installProbe(w, &opt, res.Executions)
-		aborted, _, execErr := runPhasesMC(p.Phases(), w, ctl, 0, nil, opt.tr, 0)
-		o := execOutcome{
-			index:   res.Executions,
-			aborted: aborted,
-			elapsed: time.Since(execStart),
-			execErr: execErr,
-		}
-		o.count(&opt.em, opt.fr)
-		opt.tr.Complete(0, "explore", "execution", execStart, o.elapsed, int64(res.Executions))
-		if execErr != nil {
-			execErr.Exec = res.Executions
-			execErr.Program = res.Program
-			execErr.Mode = ModelCheck
-			execErr.Prefix = trailValues(ctl.trail)
-		} else {
-			o.violations = w.Checker.Violations()
-			o.noteWorldStats(w)
-			o.world = w
-		}
-		res.collect(o, seen, &opt)
-		if !ctl.backtrack() {
-			if st.stopped() {
-				res.noteStop(st.why())
-			}
-			break
-		}
-		if res.Executions >= opt.Executions {
-			res.Partial = true
-			res.noteStop("exec-budget")
-			break
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res
 }

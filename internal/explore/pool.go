@@ -14,8 +14,8 @@
 // the victim carves at its loop top, so the donated range is always a
 // whole untouched branch suffix), and the assembly walk at the end
 // reorders every unit's execution list back into canonical depth-first
-// order — byte-for-byte the order the serial DFS visits, truncated at
-// the Executions cap. See DESIGN.md, "Work-stealing scheduler".
+// order — byte-for-byte the order one depth-first walk visits,
+// truncated at the Executions cap. See DESIGN.md, "Work-stealing scheduler".
 //
 // Graceful degradation preserves both properties: workers consult the
 // run's stopper only *between* executions (an execution, once claimed,
@@ -198,72 +198,6 @@ func pruneSnaps(snaps []phaseSnap, changed int) []phaseSnap {
 	return snaps
 }
 
-// dporKey identifies a deeper (phase >= 1) crash state completely: the
-// surviving persistent image, the allocator mark, the op-budget
-// position, the checker's constraint state, and the committed trace.
-// Two executions of one subtree that reach equal keys along different
-// decision prefixes have identical continuation trees — every future
-// load sees the same candidates, the checker commits the same future
-// constraints, and the op budget trips at the same point — so the
-// second continuation is pruned (dynamic partial-order reduction).
-// Every component is derived from path-deterministic identities (store
-// IDs, label strings), never raw interner IDs, so keys computed in
-// different worlds — or different processes, via checkpoints — compare
-// correctly. See DESIGN.md, "Prefix snapshots and partial-order
-// reduction", for why read-choice decisions need no such check.
-type dporKey struct {
-	phase   int
-	image   uint64
-	heap    int
-	ops     int
-	checker uint64
-	trace   uint64
-}
-
-// dporKeyOf computes the key of a just-crashed world.
-func dporKeyOf(phase int, w *pmem.World) dporKey {
-	return dporKey{
-		phase:   phase,
-		image:   w.M.PersistFingerprint(),
-		heap:    w.Heap.Used(),
-		ops:     w.Ops(),
-		checker: w.Checker.StateFingerprint(),
-		trace:   w.M.Trace().CommittedFingerprint(),
-	}
-}
-
-// dporKeysOf serializes a registration set in a stable order for
-// checkpoints.
-func dporKeysOf(seen map[dporKey]struct{}) []DPORKey {
-	if len(seen) == 0 {
-		return nil
-	}
-	ks := make([]DPORKey, 0, len(seen))
-	for k := range seen {
-		ks = append(ks, DPORKey{Phase: k.phase, Image: k.image, Heap: k.heap, Ops: k.ops, Checker: k.checker, Trace: k.trace})
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.Phase != b.Phase {
-			return a.Phase < b.Phase
-		}
-		if a.Image != b.Image {
-			return a.Image < b.Image
-		}
-		if a.Heap != b.Heap {
-			return a.Heap < b.Heap
-		}
-		if a.Ops != b.Ops {
-			return a.Ops < b.Ops
-		}
-		if a.Checker != b.Checker {
-			return a.Checker < b.Checker
-		}
-		return a.Trace < b.Trace
-	})
-	return ks
-}
-
 // mcExec is one completed execution inside a work unit, in sub-DFS
 // order.
 type mcExec struct {
@@ -274,7 +208,8 @@ type mcExec struct {
 	execErr *ExecError
 	// ops and the retirement counts mirror execOutcome's world stats;
 	// they ride to the assembly walk (and, via UnitExec, across the
-	// process boundary) so Result sums match the serial engines'.
+	// process boundary) so Result sums are the same whichever worker or
+	// process ran the unit.
 	ops           int64
 	retirements   int64
 	retiredStores int64
@@ -356,17 +291,9 @@ type mcUnit struct {
 	done      bool
 	stoppedAt bool
 	trailSnap []decision
-	// dporSnap is the unit's partial-order-reduction registration set as
-	// of the stop (pre-seeded with the resumed checkpoint's keys so a
-	// unit parked before running re-checkpoints them intact).
-	dporSnap []DPORKey
-	// resumeDPOR holds a resumed checkpoint's keys to replay into the
-	// live set when the unit starts.
-	resumeDPOR []DPORKey
-	// snapRestores/dporPruned/work: per-unit diagnostics, summed into
-	// the Result by the assembly walk.
+	// snapRestores/work: per-unit diagnostics, summed into the Result
+	// by the assembly walk.
 	snapRestores int
-	dporPruned   int
 	work         time.Duration
 }
 
@@ -457,7 +384,6 @@ type mcEngine struct {
 	resumeStarted   bool
 	resumeTrail     []decision
 	resumeSpawnNext bool
-	resumeDPOR      []DPORKey
 	// primedKeys / baseHits / baseMisses replay the pre-cut cache so
 	// re-checkpointing a resumed run stays cumulative.
 	primedKeys           []CacheEntry
@@ -484,7 +410,6 @@ func newMCEngine(p Program, opt *Options, st *stopper) *mcEngine {
 		e.resumeStarted = ck.MC.Started
 		e.resumeTrail = trailFromCheckpoint(ck.MC.Trail)
 		e.resumeSpawnNext = ck.MC.SpawnNext
-		e.resumeDPOR = ck.MC.DPORKeys
 		e.primedKeys = ck.MC.CacheKeys
 		e.baseHits, e.baseMisses = ck.MC.CacheHits, ck.MC.CacheMisses
 		if e.cache != nil {
@@ -599,14 +524,8 @@ func (e *mcEngine) start() {
 		// checkpoint) and its successor, if any, is spawned here. The
 		// classification outcome itself (started, injectionFired) is
 		// restored too, so a second cut re-checkpoints it faithfully.
-		// The DPOR registrations ride along the same way (keys are
-		// path-deterministic, so they compare across processes), pre-
-		// seeding dporSnap so even a unit parked by an instant stop
-		// re-checkpoints them.
 		u.classify = false
 		u.trail = append([]decision(nil), e.resumeTrail...)
-		u.resumeDPOR = e.resumeDPOR
-		u.dporSnap = e.resumeDPOR
 		sub.started = true
 		sub.injectionFired = e.resumeSpawnNext
 		if e.resumeSpawnNext {
@@ -726,11 +645,10 @@ func (u *mcUnit) markDone() {
 	u.done = true
 }
 
-// backtrackFrom advances the trail to the next unexplored branch
-// without ever popping the decision at index root — the unit's floor.
-// With root 0 it is exactly the serial controller's backtrack (a closed
-// exhausted decision at index 0 just reports exhaustion one pop
-// earlier, with the trail left in place).
+// backtrackFrom advances the trail to the next unexplored branch — the
+// deepest decision with an untried value — without ever popping the
+// decision at index root, the unit's floor. It returns false when the
+// unit's range is exhausted, leaving the trail in place.
 func (c *controller) backtrackFrom(root int) bool {
 	for len(c.trail) > root {
 		last := &c.trail[len(c.trail)-1]
@@ -823,32 +741,17 @@ func (e *mcEngine) worker(id int) {
 
 // runUnit runs unit u's bounded sub-DFS: every execution of the
 // decision tree under u.trail whose backtracks stay at or above
-// u.root, enumerated exactly as the serial DFS would (modulo ranges
-// donated away, which the assembly walk splices back in order).
+// u.root, enumerated exactly as one depth-first walk would (modulo
+// ranges donated away, which the assembly walk splices back in order).
 //
-// Two reductions ride on the sub-DFS, both unit-local so any worker
-// count — and any checkpoint cut — produces the same canonical stream:
-//
-//   - Prefix snapshots (useSnaps): after every crash the world is
-//     snapshotted; after a backtrack the deepest snapshot whose decision
-//     prefix is still unchanged is restored and only the suffix phases
-//     re-run. Bit-identical results, integer-factor fewer phase
-//     executions.
-//   - DPOR (dporSeen != nil): a deeper crash state equal to one already
-//     enumerated in this unit is pruned — counted like a state-cache
-//     prune, contributing no execution. The check is skipped while the
-//     trail is still replaying the previous execution's prefix
-//     (ctl.pos <= pChanged): an unchanged prefix trivially reproduces
-//     its own registered states and must not prune its own siblings.
-//     DPOR registration sets are subtree-scoped, so a DPOR-active root
-//     unit never donates (a carved child would split the set and change
-//     which executions are pruned); such programs parallelize across
-//     subtrees only, exactly like the pre-stealing engine.
-//
-// Both require reentrant phases (ReentrantPhases): a snapshot resume
-// re-enters a later phase without re-running earlier ones, and DPOR's
-// equal-state-equal-continuation argument needs all cross-phase state
-// inside the World.
+// Prefix snapshots (useSnaps) ride on the sub-DFS, unit-local so any
+// worker count — and any checkpoint cut — produces the same canonical
+// stream: after every crash the world is snapshotted; after a backtrack
+// the deepest snapshot whose decision prefix is still unchanged is
+// restored and only the suffix phases re-run. Bit-identical results,
+// integer-factor fewer phase executions. Snapshots require reentrant
+// phases (ReentrantPhases): a resume re-enters a later phase without
+// re-running earlier ones.
 func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 	sub := u.sub
 	ctl := ws.ctl
@@ -856,36 +759,17 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 	ctl.pos = 0
 	u.popped = true
 	first := u.classify
-	// pChanged is the trail index of the decision the last backtrack
-	// changed: decisions at indices <= pChanged replay the previous
-	// execution's prefix unchanged. -1 before a fresh subtree's first
-	// execution (everything is new); a carved or resumed trail always
-	// sits just after a backtrack, so its whole prefix counts.
-	pChanged := -1
-	if !first {
-		pChanged = len(ctl.trail) - 1
-	}
 	useSnaps := e.reentrant && !e.opt.DisableSnapshots && !e.opt.FreshWorlds
-	var dporSeen map[dporKey]struct{}
-	if e.reentrant && !e.opt.DisableDPOR && e.numPre > 1 && !u.stolen {
-		dporSeen = make(map[dporKey]struct{})
-		for _, k := range u.resumeDPOR {
-			dporSeen[dporKey{phase: k.Phase, image: k.Image, heap: k.Heap, ops: k.Ops, checker: k.Checker, trace: k.Trace}] = struct{}{}
-		}
-	}
-	// Donation gating: DPOR-active units keep their whole range (see
-	// above); armed chaos injection disables demand-driven donation
-	// (unit-local fault ordinals must not depend on scheduler timing)
-	// unless ForceSteals makes the unit tree trail-driven.
-	canDonate := dporSeen == nil && !e.opt.DisableStealing &&
-		(e.opt.ForceSteals || e.opt.InjectFault == nil)
+	// Donation gating: armed chaos injection disables demand-driven
+	// donation (unit-local fault ordinals must not depend on scheduler
+	// timing) unless ForceSteals makes the unit tree trail-driven.
+	canDonate := !e.opt.DisableStealing && (e.opt.ForceSteals || e.opt.InjectFault == nil)
 	// snaps is unit-local: a unit's first execution always replays from
 	// the program start (or a fresh world), never from another unit's
 	// snapshot.
 	var snaps []phaseSnap
-	dporHit := false
 	// onCrash runs after every crash of every execution: first-execution
-	// subtree classification, then the DPOR probe, then the snapshot.
+	// subtree classification, then the snapshot.
 	onCrash := func(phase int, fired bool) bool {
 		if first && phase == 0 {
 			// The subtree's first execution classifies the subtree at
@@ -923,14 +807,6 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 				return false
 			}
 		}
-		if dporSeen != nil && phase >= 1 && ctl.pos > pChanged {
-			k := dporKeyOf(phase, ws.w)
-			if _, ok := dporSeen[k]; ok {
-				dporHit = true
-				return false
-			}
-			dporSeen[k] = struct{}{}
-		}
 		if useSnaps {
 			snaps = append(snaps, phaseSnap{ws: ws.w.Snapshot(), phase: phase, pos: ctl.pos})
 			e.opt.em.SnapshotsTaken.Inc()
@@ -943,9 +819,6 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 			// unexplored execution (backtrack already advanced it).
 			u.stoppedAt = true
 			u.trailSnap = append([]decision(nil), ctl.trail...)
-			if dporSeen != nil {
-				u.dporSnap = dporKeysOf(dporSeen)
-			}
 			break
 		}
 		// Donation before the allowance check: the carve decision must
@@ -994,7 +867,7 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 			ph = e.p.Phases()
 		}
 		oc := onCrash
-		if !first && dporSeen == nil && !useSnaps {
+		if !first && !useSnaps {
 			oc = nil // no per-crash work left; keep the hot path bare
 		}
 		aborted, pruned, execErr := runPhasesMC(ph, ws.w, ctl, startPhase, oc, e.opt.tr, tid)
@@ -1019,35 +892,17 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 		}
 		first = false
 		u.started = true
-		if pruned && !dporHit {
+		if pruned {
 			// The whole subtree is a duplicate of one already explored;
 			// it contributes no executions.
 			u.markDone()
 			break
 		}
-		if dporHit {
-			// A deeper crash state already enumerated in this unit: the
-			// continuation is skipped (counted in Pruned, no execution
-			// recorded), the sub-DFS walks on.
-			dporHit = false
-			u.dporPruned++
-			e.opt.em.DPORPruned.Inc()
-			if !ctl.backtrackFrom(u.root) {
-				u.markDone()
-				break
-			}
-			pChanged = len(ctl.trail) - 1
-			u.passCuts(pChanged)
-			snaps = pruneSnaps(snaps, pChanged)
-			continue
-		}
 		ex := mcExec{aborted: aborted, execErr: execErr}
 		if execErr != nil {
 			// The panic left the world in an undefined state: discard
 			// it (next iteration builds fresh) and drop its violations,
-			// along with every snapshot taken in it. DPOR registrations
-			// survive — the keys are path-deterministic, not
-			// world-relative.
+			// along with every snapshot taken in it.
 			execErr.Program = e.p.Name()
 			execErr.Mode = ModelCheck
 			execErr.Prefix = trailValues(ctl.trail)
@@ -1072,9 +927,11 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 			u.markDone()
 			break
 		}
-		pChanged = len(ctl.trail) - 1
-		u.passCuts(pChanged)
-		snaps = pruneSnaps(snaps, pChanged)
+		// The backtrack changed the trail's last decision; everything
+		// before it replays the previous execution's prefix unchanged.
+		changed := len(ctl.trail) - 1
+		u.passCuts(changed)
+		snaps = pruneSnaps(snaps, changed)
 	}
 	// Hand the (possibly reallocated) live trail back to the unit; the
 	// checkpoint path reads trailSnap for units stopped mid-DFS and the
@@ -1112,7 +969,6 @@ type asm struct {
 func (a *asm) walk(u *mcUnit) {
 	a.res.WorkerTime += u.work
 	a.res.SnapshotRestores += u.snapRestores
-	a.res.DPORPruned += u.dporPruned
 	var passed []*mcChild
 	for _, c := range u.children {
 		if c.passed {
@@ -1259,7 +1115,6 @@ func (e *mcEngine) checkpoint(res *Result, seen map[string]bool, cutU *mcUnit, c
 			}
 		}
 		mc.Trail = trailToCheckpoint(t)
-		mc.DPORKeys = cutU.dporSnap
 	}
 	// Cache registrations of subtrees up to the cut, in registration
 	// (spawn-chain = ordinal) order: the pre-cut primed keys first, then
@@ -1284,7 +1139,6 @@ func (e *mcEngine) checkpoint(res *Result, seen map[string]bool, cutU *mcUnit, c
 		Seed:          e.opt.Seed,
 		Model:         resolveModel(e.opt.Model.Name),
 		Window:        e.opt.Model.Window,
-		DPOR:          !e.opt.DisableDPOR,
 		Collected:     collected,
 		Aborted:       res.Aborted,
 		Quarantined:   res.Quarantined,

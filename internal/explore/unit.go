@@ -8,8 +8,8 @@
 // range), so the supervisor↔worker wire protocol and the on-disk resume
 // format are one format. Determinism is inherited wholesale: a
 // model-check unit is exactly the engine's own resume path restricted
-// to a single subtree (same trail replay, same primed state cache, same
-// DPOR registrations), and a random unit's executions depend only on
+// to a single subtree (same trail replay, same primed state cache), and
+// a random unit's executions depend only on
 // their indices. The supervisor's ordered merge of unit streams is
 // therefore bit-identical to the in-process engines' canonical
 // assembly, at any worker count and under any kill schedule.
@@ -30,7 +30,7 @@ type UnitSpec struct {
 	// MC is a model-check subtree in checkpoint vocabulary: the subtree
 	// ordinal, the state-cache keys registered by earlier subtrees (in
 	// registration order), and — when resuming a mid-subtree checkpoint
-	// cut — the started trail, spawn flag, and DPOR registrations.
+	// cut — the started trail and spawn flag.
 	MC *MCCheckpoint `json:"mc,omitempty"`
 	// Budget caps the executions a model-check unit records (0: none).
 	// It is a conservative overestimate of the canonical remainder; an
@@ -101,10 +101,9 @@ type UnitResult struct {
 	// Done reports the unit ran to exhaustion (model check) or completed
 	// its range (random); false after a stop or a budget bound.
 	Done bool
-	// SnapshotRestores/DPORPruned/WorkNanos feed the supervisor's
-	// Result diagnostics, exactly like per-unit sums in the pool.
+	// SnapshotRestores/WorkNanos feed the supervisor's Result
+	// diagnostics, exactly like per-unit sums in the pool.
 	SnapshotRestores int
-	DPORPruned       int
 	WorkNanos        int64
 }
 
@@ -213,7 +212,6 @@ func runMCUnit(p Program, opt *Options, st *stopper, spec UnitSpec, hooks UnitHo
 	ur := &UnitResult{
 		Done:             u.done,
 		SnapshotRestores: u.snapRestores,
-		DPORPruned:       u.dporPruned,
 		WorkNanos:        int64(u.work),
 	}
 	if !spec.MC.Started {

@@ -91,9 +91,9 @@ func TestUnitDriveMCEquivalence(t *testing.T) {
 		}
 		got := driveMC(t, p, opt, false)
 		sameResult(t, p.Name(), got, want)
-		if got.SnapshotRestores != want.SnapshotRestores || got.DPORPruned != want.DPORPruned {
-			t.Fatalf("%s: reduction diagnostics diverge: snap %d/%d dpor %d/%d", p.Name(),
-				got.SnapshotRestores, want.SnapshotRestores, got.DPORPruned, want.DPORPruned)
+		if got.SnapshotRestores != want.SnapshotRestores {
+			t.Fatalf("%s: snapshot restores diverge: %d/%d", p.Name(),
+				got.SnapshotRestores, want.SnapshotRestores)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package explore
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -19,7 +21,6 @@ func TestValidateMismatches(t *testing.T) {
 			Program: "figure2",
 			Mode:    ModelCheck.String(),
 			Model:   persist.DefaultModel,
-			DPOR:    true,
 			MC:      &MCCheckpoint{},
 		}
 	}
@@ -32,6 +33,11 @@ func TestValidateMismatches(t *testing.T) {
 		field string
 	}{
 		{"ok", base, "figure2", mcOpts, ""},
+		{"version", func() *Checkpoint {
+			c := base()
+			c.Version = checkpointVersion - 1
+			return c
+		}, "figure2", mcOpts, "version"},
 		{"program", base, "other", mcOpts, "program"},
 		{"mode", base, "figure2", Options{Mode: Random}, "mode"},
 		{"seed", func() *Checkpoint {
@@ -60,17 +66,6 @@ func TestValidateMismatches(t *testing.T) {
 			c.MC = nil
 			return c
 		}, "figure2", mcOpts, "mc-state"},
-		{"dpor", func() *Checkpoint {
-			c := base()
-			c.DPOR = false
-			return c
-		}, "figure2", mcOpts, "dpor"},
-		{"dpor-ignored-in-random", func() *Checkpoint {
-			c := base()
-			c.Mode = Random.String()
-			c.DPOR = false
-			return c
-		}, "figure2", Options{Mode: Random}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,19 +91,43 @@ func TestValidateMismatches(t *testing.T) {
 }
 
 // TestLoadCheckpointVersionMismatch: a stale on-disk version is the same
-// typed error, wrapped with the path.
+// typed error, wrapped with the path. The second case is a version-3
+// model-check checkpoint written while the crash-state partial-order
+// reduction existed — it carries that reduction's flag and prune keys
+// and a stream cut under it — so both LoadCheckpoint and Validate (the
+// dispatch worker's gate) must refuse it on the version alone.
 func TestLoadCheckpointVersionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
+	stale := filepath.Join(t.TempDir(), "ck.json")
 	c := &Checkpoint{Version: checkpointVersion - 1, Program: "p", Mode: "random"}
-	if err := c.Save(path); err != nil {
+	if err := c.Save(stale); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadCheckpoint(path)
-	var me *MismatchError
-	if !errors.As(err, &me) {
-		t.Fatalf("want *MismatchError, got %T: %v", err, err)
+	wantVersion := func(t *testing.T, err error) {
+		t.Helper()
+		var me *MismatchError
+		if !errors.As(err, &me) {
+			t.Fatalf("want *MismatchError, got %T: %v", err, err)
+		}
+		if me.Field != "version" {
+			t.Fatalf("field %q, want version: %v", me.Field, me)
+		}
 	}
-	if me.Field != "version" {
-		t.Fatalf("field %q, want version: %v", me.Field, me)
+	for _, tc := range []struct{ name, path string }{
+		{"stale", stale},
+		{"v3-with-reduction-keys", filepath.Join("testdata", "v3-reduction-keys.ckpt")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LoadCheckpoint(tc.path)
+			wantVersion(t, err)
+			data, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw Checkpoint
+			if err := json.Unmarshal(data, &raw); err != nil {
+				t.Fatal(err)
+			}
+			wantVersion(t, raw.Validate(raw.Program, Options{Mode: ModelCheck}))
+		})
 	}
 }

@@ -85,10 +85,9 @@ var catalog = []MetricDef{
 	{"psan_explore_executions_completed", "counter", nil, "Executions that ran to completion."},
 	{"psan_explore_executions_aborted", "counter", nil, "Executions aborted on a deadline, cancellation, or op budget."},
 	{"psan_explore_executions_quarantined", "counter", nil, "Executions quarantined after a contained panic."},
-	{"psan_explore_executions_pruned", "counter", nil, "Model-check executions pruned by the state cache or DPOR."},
+	{"psan_explore_executions_pruned", "counter", nil, "Model-check executions pruned by the state cache."},
 	{"psan_explore_snapshots_taken", "counter", nil, "Crash-boundary world snapshots taken."},
 	{"psan_explore_snapshots_restored", "counter", nil, "Executions resumed from a world snapshot."},
-	{"psan_explore_dpor_pruned", "counter", nil, "Deeper-crash states pruned by partial-order reduction."},
 	{"psan_explore_steals", "counter", nil, "Work units donated to idle workers (model-check mode)."},
 	{"psan_explore_steal_failures", "counter", nil, "Workers that went hungry and exited unfed."},
 	{"psan_explore_worker_idle_ns", "counter", nil, "Aggregate worker idle time in nanoseconds."},

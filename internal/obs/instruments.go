@@ -13,11 +13,10 @@ type ExploreMetrics struct {
 	Completed   *Counter // explore.executions_completed
 	Aborted     *Counter // explore.executions_aborted (deadline/cancel/op-budget)
 	Quarantined *Counter // explore.executions_quarantined (panic containment)
-	Pruned      *Counter // explore.executions_pruned (state-cache or DPOR prune, mc mode)
+	Pruned      *Counter // explore.executions_pruned (state-cache prune, mc mode)
 
 	SnapshotsTaken    *Counter // explore.snapshots_taken (crash-boundary world snapshots)
 	SnapshotsRestored *Counter // explore.snapshots_restored (executions resumed from one)
-	DPORPruned        *Counter // explore.dpor_pruned (deeper-crash prunes; subset of Pruned)
 
 	Steals        *Counter // explore.steals (work units donated to idle workers, mc mode)
 	StealFailures *Counter // explore.steal_failures (workers that went hungry and exited unfed)
@@ -43,7 +42,6 @@ func ExploreInstruments(r *Registry) ExploreMetrics {
 		Pruned:            r.Counter("explore.executions_pruned"),
 		SnapshotsTaken:    r.Counter("explore.snapshots_taken"),
 		SnapshotsRestored: r.Counter("explore.snapshots_restored"),
-		DPORPruned:        r.Counter("explore.dpor_pruned"),
 		Steals:            r.Counter("explore.steals"),
 		StealFailures:     r.Counter("explore.steal_failures"),
 		WorkerIdle:        r.Counter("explore.worker_idle_ns"),

@@ -164,8 +164,8 @@ type Config struct {
 	// resolution) are unlinked and released to the GC. 0 (the default)
 	// keeps the classic record-everything arena pipeline, byte-identical
 	// to previous releases. Window changes which exploration features
-	// are available (snapshots, DPOR, and the post-crash state cache are
-	// forced off) and is validated by checkpoints.
+	// are available (snapshots and the post-crash state cache are forced
+	// off) and is validated by checkpoints.
 	Window int
 	// Obs, when it carries a metrics registry, makes backends built from
 	// this config emit per-model instruction counters

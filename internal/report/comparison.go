@@ -34,7 +34,9 @@ type ComparisonRow struct {
 
 // Comparison runs each benchmark port once and feeds every explored
 // execution's trace to the baseline checkers, reproducing the §6.4
-// comparison on identical executions.
+// comparison on identical executions. It always runs in random mode,
+// the only mode that hands worlds to AfterExecution (and every port's
+// PreferredMode).
 func Comparison(opt Options) []ComparisonRow {
 	var rows []ComparisonRow
 	for _, b := range benchmarks.All() {
@@ -46,7 +48,7 @@ func Comparison(opt Options) []ComparisonRow {
 		pmemcheckKeys := map[string]bool{}
 		assertExecs := 0
 		res := explore.Run(b.Build(bench.Buggy), explore.Options{
-			Mode:       b.PreferredMode,
+			Mode:       explore.Random,
 			Executions: execs,
 			Seed:       opt.Seed + 1,
 			Workers:    opt.Workers,

@@ -83,11 +83,10 @@ type Options struct {
 	// Context cancels table builds early with partial coverage, same
 	// semantics as explore.Options.Context.
 	Context context.Context
-	// DisableSnapshots and DisableDPOR switch off the model-check
-	// reductions (explore.Options fields of the same names) in every
-	// exploration the tables run — the psan-bench -reduction flag.
+	// DisableSnapshots switches off the model-check prefix snapshots
+	// (explore.Options.DisableSnapshots) in every exploration the tables
+	// run — the psan-bench -reduction flag.
 	DisableSnapshots bool
-	DisableDPOR      bool
 	// DisableStealing turns off work stealing in every model-check
 	// exploration the tables run (explore.Options.DisableStealing) —
 	// the psan-bench -steal=false escape hatch. Table results are
@@ -232,7 +231,7 @@ func Table2(opt Options) *Table2Result {
 		buggy := explore.Run(b.Build(bench.Buggy), explore.Options{
 			Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableStealing: opt.DisableStealing,
 		})
 		covered, missed := bench.MatchExpected(b.Expected, buggy.Violations)
 		for _, c := range covered {
@@ -262,7 +261,7 @@ func Table2(opt Options) *Table2Result {
 		fixed := explore.Run(b.Build(bench.Fixed), explore.Options{
 			Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableStealing: opt.DisableStealing,
 		})
 		res.FixedClean[b.Name] = len(fixed.Violations) == 0
 	}
@@ -338,13 +337,13 @@ func Table3(opt Options) []Table3Row {
 			Mode: explore.Random, Executions: timingExecs, Seed: opt.Seed + 2,
 			Workers: opt.Workers, Deadline: opt.Deadline, DisableChecker: true, NoSteering: true,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableStealing: opt.DisableStealing,
 		})
 		psan := explore.Run(b.Build(bench.Buggy), explore.Options{
 			Mode: explore.Random, Executions: timingExecs, Seed: opt.Seed + 2,
 			Workers: opt.Workers, Deadline: opt.Deadline, NoSteering: true,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableStealing: opt.DisableStealing,
 		})
 		execs := b.Executions
 		if opt.Executions > 0 {
@@ -353,7 +352,7 @@ func Table3(opt Options) []Table3Row {
 		discovery := explore.Run(b.Build(bench.Buggy), explore.Options{
 			Mode: explore.Random, Executions: execs, Seed: opt.Seed + 2, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableStealing: opt.DisableStealing,
 		})
 		rows = append(rows, Table3Row{
 			Benchmark:  b.Name,
@@ -399,7 +398,7 @@ func Violations(name string, opt Options) (string, error) {
 	res := explore.Run(b.Build(bench.Buggy), explore.Options{
 		Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers,
 		Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-		DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+		DisableSnapshots: opt.DisableSnapshots, DisableStealing: opt.DisableStealing,
 		Provenance: true,
 	})
 	var sb strings.Builder

@@ -40,8 +40,8 @@
 // so the amortized cost is a constant per operation; the verdict stream
 // is proven identical to unbounded mode by the windowed-equivalence
 // property suite (window_test.go) and guarded by the explorer, which
-// forces snapshots, DPOR, and the post-crash state cache off (their
-// keys hash retired history).
+// forces snapshots and the post-crash state cache off (their keys and
+// replays reach into retired history).
 package trace
 
 import (

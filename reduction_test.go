@@ -1,18 +1,16 @@
 package repro
 
-// Equivalence tests for the model-check reductions (prefix snapshots
-// and crash-state DPOR):
+// Equivalence tests for the model-check prefix snapshots: snapshots on
+// vs off must be bit-identical — same violation keys, same
+// execution/abort/quarantine counts, and the same observable heap in
+// every execution (pinned by digesting every recovery-phase read) — on
+// every persistency-model backend, every benchmark port and every
+// shipped litmus program. Each test also requires that snapshots were
+// actually restored, so a reduction that silently stopped engaging
+// cannot pass as equivalent.
 //
-//   - snapshots on vs off must be bit-identical — same violation keys,
-//     same execution/abort/quarantine counts, and the same observable
-//     heap in every execution (pinned by digesting every recovery-phase
-//     read) — on every persistency-model backend;
-//   - DPOR on vs off must report exactly the same violation key set on
-//     every shipped litmus program, with DPOR never running more
-//     executions than the unreduced search.
-//
-// Together with determinism_test.go (which now exercises both settings)
-// these are the safety net that lets the reductions default to on.
+// Together with determinism_test.go (which exercises both settings)
+// these are the safety net that lets snapshots default to on.
 
 import (
 	"os"
@@ -87,36 +85,95 @@ func digestProgram(digests *[]uint64, mu *sync.Mutex) explore.Program {
 	}
 }
 
+// twoCrashDigestProgram is digestProgram's three-phase sibling: phase 1
+// reads what survived the first crash and persists (part of) what it
+// read, so the second crash's snapshot holds state derived from phase
+// 1's read choices. The digest taken in phase 2 folds in those derived
+// words, which makes a restore from a stale second-crash snapshot — one
+// whose phase-1 reads a backtrack has since changed — visible. All
+// cross-phase state flows through persistent memory, so the phases stay
+// reentrant.
+func twoCrashDigestProgram(digests *[]uint64, mu *sync.Mutex) explore.Program {
+	src := []memmodel.Addr{0x2000, 0x2008, 0x2040}
+	derived := []memmodel.Addr{0x4000, 0x4040}
+	return &explore.FuncProgram{
+		ProgName: "digest-two-crash",
+		PhaseFns: []func(*pmem.World){
+			func(w *pmem.World) {
+				th := w.Thread(0)
+				th.Store(src[0], 1, "x=1")
+				th.Store(src[1], 2, "y=2") // same line as x, no flush
+				th.Flush(src[0], "flush x")
+				th.SFence("fence")
+				th.Store(src[2], 3, "z=3") // own line, no flush
+			},
+			func(w *pmem.World) {
+				th := w.Thread(0)
+				a := th.Load(src[1], "read y")
+				b := th.Load(src[2], "read z")
+				th.Store(derived[0], a+10, "u=y+10")
+				th.Flush(derived[0], "flush u")
+				th.SFence("fence u")
+				th.Store(derived[1], b+20, "v=z+20") // no flush
+			},
+			func(w *pmem.World) {
+				th := w.Thread(0)
+				var h uint64 = 14695981039346656037
+				for _, a := range append(append([]memmodel.Addr(nil), src...), derived...) {
+					v := th.Load(a, "recovery read")
+					h = (h ^ uint64(v)) * 1099511628211
+				}
+				mu.Lock()
+				*digests = append(*digests, h)
+				mu.Unlock()
+			},
+		},
+	}
+}
+
 // TestSnapshotEquivalenceAcrossModels: DisableSnapshots must not change
 // any observable part of a model-check campaign on any backend — and in
 // particular every execution must read the same heap whether it was
 // replayed from the program start or resumed from a restored crash
-// snapshot.
+// snapshot. The two-crash program must restore on every backend.
 func TestSnapshotEquivalenceAcrossModels(t *testing.T) {
+	programs := []struct {
+		name  string
+		build func(*[]uint64, *sync.Mutex) explore.Program
+	}{
+		{"digest", digestProgram},
+		{"digest-two-crash", twoCrashDigestProgram},
+	}
 	for _, model := range persist.Names() {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			run := func(disable bool) (*explore.Result, []uint64) {
-				var digests []uint64
-				var mu sync.Mutex
-				res := explore.Run(digestProgram(&digests, &mu), explore.Options{
-					Mode: explore.ModelCheck, Executions: 5000, Workers: 1,
-					Model:            persist.Config{Name: model},
-					DisableSnapshots: disable,
-				})
-				return res, digests
-			}
-			on, onDigests := run(false)
-			off, offDigests := run(true)
-			assertSameReducedOutcome(t, model, on, off)
-			// Workers:1 collects executions in canonical order, so the
-			// digest streams must match element for element.
-			if !reflect.DeepEqual(onDigests, offDigests) {
-				t.Fatalf("%s: heap digests diverge (%d vs %d executions)\n  on:  %v\n  off: %v",
-					model, len(onDigests), len(offDigests), onDigests, offDigests)
-			}
-			if off.SnapshotRestores != 0 {
-				t.Fatalf("%s: disabled run reports %d snapshot restores", model, off.SnapshotRestores)
+			for _, prog := range programs {
+				label := model + "/" + prog.name
+				run := func(disable bool) (*explore.Result, []uint64) {
+					var digests []uint64
+					var mu sync.Mutex
+					res := explore.Run(prog.build(&digests, &mu), explore.Options{
+						Mode: explore.ModelCheck, Executions: 5000, Workers: 1,
+						Model:            persist.Config{Name: model},
+						DisableSnapshots: disable,
+					})
+					return res, digests
+				}
+				on, onDigests := run(false)
+				off, offDigests := run(true)
+				assertSameReducedOutcome(t, label, on, off)
+				// Workers:1 collects executions in canonical order, so the
+				// digest streams must match element for element.
+				if !reflect.DeepEqual(onDigests, offDigests) {
+					t.Fatalf("%s: heap digests diverge (%d vs %d executions)\n  on:  %v\n  off: %v",
+						label, len(onDigests), len(offDigests), onDigests, offDigests)
+				}
+				if off.SnapshotRestores != 0 {
+					t.Fatalf("%s: disabled run reports %d snapshot restores", label, off.SnapshotRestores)
+				}
+				if prog.name == "digest-two-crash" && on.SnapshotRestores == 0 {
+					t.Fatalf("%s: snapshots never restored — the equivalence proves nothing", label)
+				}
 			}
 		})
 	}
@@ -124,26 +181,36 @@ func TestSnapshotEquivalenceAcrossModels(t *testing.T) {
 
 // TestSnapshotEquivalenceOnBenchmarks runs the same A/B on the real
 // benchmark ports at both worker counts the determinism suite pins.
+// Restores are summed over the ports: P-ART and P-BwTree are
+// InstancedPrograms, whose phases are not reentrant, and restore none.
 func TestSnapshotEquivalenceOnBenchmarks(t *testing.T) {
 	execs := scaled(400)
+	restores, ran := 0, 0
 	for _, b := range benchmarks.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
+			ran++
 			for _, workers := range []int{1, 8} {
 				opt := explore.Options{Mode: explore.ModelCheck, Executions: execs, Workers: workers}
 				on := explore.Run(b.Build(bench.Buggy), opt)
 				opt.DisableSnapshots = true
 				off := explore.Run(b.Build(bench.Buggy), opt)
 				assertSameReducedOutcome(t, b.Name, on, off)
+				restores += on.SnapshotRestores
 			}
 		})
 	}
+	if ran == len(benchmarks.All()) && restores == 0 && !t.Failed() {
+		t.Fatal("no benchmark port restored a snapshot — the equivalence proves nothing")
+	}
 }
 
-// TestDPORSoundOnLitmusPrograms: on every shipped .pm litmus program,
-// the DPOR-reduced search must report exactly the violation key set the
-// unreduced search reports, while never running more executions.
-func TestDPORSoundOnLitmusPrograms(t *testing.T) {
+// TestSnapshotEquivalenceOnLitmusPrograms runs the A/B on every shipped
+// .pm litmus program at one and four workers. twocrash.pm has two
+// pre-crash phases, so its searches restore snapshots taken after the
+// second crash with the first crash's snapshot still live below them;
+// it must restore at least once.
+func TestSnapshotEquivalenceOnLitmusPrograms(t *testing.T) {
 	entries, err := os.ReadDir("testdata")
 	if err != nil {
 		t.Fatal(err)
@@ -162,49 +229,14 @@ func TestDPORSoundOnLitmusPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := explore.Options{Mode: explore.ModelCheck, Executions: 20000}
-			on := explore.Run(interp.New(name, prog), opt)
-			opt.DisableDPOR = true
-			off := explore.Run(interp.New(name, prog), opt)
-			if !reflect.DeepEqual(on.ViolationKeys(), off.ViolationKeys()) {
-				t.Fatalf("DPOR changed the violation set\n  on:  %v\n  off: %v",
-					on.ViolationKeys(), off.ViolationKeys())
-			}
-			if on.Executions > off.Executions {
-				t.Fatalf("DPOR ran more executions than the unreduced search: %d > %d",
-					on.Executions, off.Executions)
-			}
-			if off.DPORPruned != 0 {
-				t.Fatalf("disabled run reports %d DPOR prunes", off.DPORPruned)
-			}
-		})
-	}
-}
-
-// TestDPORSoundOnBenchmarks: same exact-set property on the benchmark
-// ports, where the searches are budget-capped. Under a binding cap the
-// reduced search advances further through the decision tree, so — like
-// the state-cache soundness test — the invariant is one-sided: nothing
-// the unreduced run found may be lost.
-func TestDPORSoundOnBenchmarks(t *testing.T) {
-	execs := scaled(400)
-	for _, b := range benchmarks.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			on := explore.Run(b.Build(bench.Buggy), explore.Options{
-				Mode: explore.ModelCheck, Executions: execs, Workers: 1,
-			})
-			off := explore.Run(b.Build(bench.Buggy), explore.Options{
-				Mode: explore.ModelCheck, Executions: execs, Workers: 1, DisableDPOR: true,
-			})
-			have := make(map[string]bool)
-			for _, k := range on.ViolationKeys() {
-				have[k] = true
-			}
-			for _, k := range off.ViolationKeys() {
-				if !have[k] {
-					t.Fatalf("DPOR lost violation %s\n  on:  %v\n  off: %v",
-						k, on.ViolationKeys(), off.ViolationKeys())
+			for _, workers := range []int{1, 4} {
+				opt := explore.Options{Mode: explore.ModelCheck, Executions: 20000, Workers: workers}
+				on := explore.Run(interp.New(name, prog), opt)
+				opt.DisableSnapshots = true
+				off := explore.Run(interp.New(name, prog), opt)
+				assertSameReducedOutcome(t, name, on, off)
+				if name == "twocrash.pm" && on.SnapshotRestores == 0 {
+					t.Fatalf("workers=%d: the two-crash program restored no snapshot", workers)
 				}
 			}
 		})

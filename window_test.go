@@ -2,8 +2,8 @@ package repro
 
 // Windowed-equivalence property suite: bounded-window (streaming)
 // checking must be a pure memory optimization. A window forces the
-// history-hashing reductions off (snapshots, DPOR, the post-crash state
-// cache — their keys cover retired records), so every comparison here
+// history-reaching reductions off (snapshots and the post-crash state
+// cache — their replays and keys cover retired records), so every comparison here
 // pins the baseline to the same reduction settings and then demands the
 // windowed run be observationally identical: same violation key set,
 // same execution counts, and the same heap digest in every execution.
@@ -39,7 +39,6 @@ func unreducedOpts(model string, window, execs int) explore.Options {
 		Workers:          1,
 		Model:            persist.Config{Name: model, Window: window},
 		DisableSnapshots: true,
-		DisableDPOR:      true,
 		NoStateCache:     true,
 	}
 }
