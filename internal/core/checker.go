@@ -228,8 +228,8 @@ type consKey struct {
 
 // violationKey is the intra-world dedup identity of a violation: the
 // diagnosis kind plus the two interned store sites. LocIDs are stable
-// within one world, which is exactly the scope of the checker's seen
-// set; cross-execution dedup goes through the string Key.
+// for a world's lifetime (the interner survives Reset), as is the seen
+// set; dedup across worlds goes through the string Key.
 type violationKey struct {
 	kind   ViolationKind
 	mfLoc  trace.LocID
@@ -270,8 +270,8 @@ const globalThread = memmodel.ThreadID(-2)
 // It is not safe for concurrent use, mirroring the serialized simulator.
 // All of its state — the constraint map, violation list, and seen-set —
 // is per-instance with no package-level sharing, so the parallel
-// exploration engine runs one Checker per world on its own goroutine
-// and never shares one across executions.
+// exploration engine runs one Checker per world on its own goroutine.
+// The seen-set alone outlives an execution: see ForgetReported.
 type Checker struct {
 	tr       *trace.Trace
 	opt      Options
@@ -320,13 +320,17 @@ func NewWithOptions(tr *trace.Trace, opt Options) *Checker {
 // Reset clears the checker for the next execution on the same (reset)
 // trace. The accumulated violations slice is dropped, not truncated —
 // it escapes to the exploration harness, which may retain it after the
-// reset. The enabled/disabled state and ablation options are kept.
+// reset. The enabled state, options and reported set (ForgetReported) persist.
 func (c *Checker) Reset() {
 	clear(c.cons)
 	c.violations = nil
-	clear(c.seen)
 	clear(c.deferred)
 }
+
+// ForgetReported empties the set of already-reported violations, which
+// Reset and Restore keep: until then a reported bug is neither diagnosed
+// nor reported again. Callers invoke it where their own dedup scope starts.
+func (c *Checker) ForgetReported() { clear(c.seen) }
 
 // Intern maps a source label to the trace's dense LocID, the form the
 // checker's read hooks take.
@@ -378,7 +382,8 @@ func (c *Checker) freezeEndpoint(e intervals.Endpoint) intervals.Endpoint {
 	return e
 }
 
-// Violations returns the violations committed so far, in detection order.
+// Violations returns the violations committed since the last Reset and
+// not reported before it (see ForgetReported), in detection order.
 func (c *Checker) Violations() []*Violation { return c.violations }
 
 // SetEnabled turns checking on or off. A disabled checker observes
@@ -387,10 +392,10 @@ func (c *Checker) Violations() []*Violation { return c.violations }
 func (c *Checker) SetEnabled(on bool) { c.disabled = !on }
 
 // SetProvenance turns violation-provenance capture on or off. Like fix
-// synthesis it walks the event log only when a bug is first recorded, so
-// the per-load checking cost is unchanged; violation-free executions pay
-// nothing either way. Off by default, and like the enabled state and
-// options it survives Reset.
+// synthesis it walks the event log only when a bug is first recorded
+// since the last ForgetReported, so the per-load checking cost is
+// unchanged; violation-free executions pay nothing either way. Off by
+// default, and like the enabled state and options it survives Reset.
 func (c *Checker) SetProvenance(on bool) { c.prov = on }
 
 // Interval returns the current crash interval for a (sub-execution,
@@ -503,9 +508,9 @@ const (
 // materialized: the diagnosis was recorded (with fixes) the first time,
 // and a re-run of diagnose would freeze three StoreRefs only for the
 // post-loop dedup to throw the copy away. Workloads that keep re-reading
-// a bugged location spend most of their checking time there. Callers
-// therefore see each distinct violation in a return value exactly once
-// per execution; the committed Violations() list is unchanged.
+// a bugged location spend most of their checking time there. Since the
+// seen set outlives Reset, callers see each distinct violation in a
+// return value exactly once between ForgetReported calls.
 func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, ups []update, mode applyMode) []*Violation {
 	if len(ups) == 0 {
 		// Same-sub-execution reads constrain nothing; skip the scratch

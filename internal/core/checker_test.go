@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/memmodel"
@@ -381,6 +382,68 @@ func TestViolationDedup(t *testing.T) {
 	h.readValue(0, addrY, 2, false, "r3=y") // same outcome again
 	if n := len(h.c.Violations()); n != 1 {
 		t.Fatalf("violations recorded = %d, want 1 (deduplicated)", n)
+	}
+}
+
+// driveFigure2Bug runs Figure 2's buggy execution (r1=x reads 1, r2=y
+// reads 2) on the harness's reset machine and returns the rendered
+// reports the checker committed.
+func driveFigure2Bug(h *harness) string {
+	h.m.Reset()
+	h.c.Reset()
+	h.m.Store(0, addrX, 1, h.m.Intern("x=1"))
+	h.m.Store(0, addrY, 1, h.m.Intern("y=1"))
+	h.m.Store(0, addrX, 2, h.m.Intern("x=2"))
+	h.m.Store(0, addrY, 2, h.m.Intern("y=2"))
+	h.m.Crash()
+	h.readValue(0, addrX, 1, false, "r1=x")
+	h.readValue(0, addrY, 2, false, "r2=y")
+	var b strings.Builder
+	for _, v := range h.c.Violations() {
+		b.WriteString(v.String())
+	}
+	return b.String()
+}
+
+// TestReportedSetOutlivesReset: a bug reported once is not diagnosed or
+// reported again after Reset or Restore, until ForgetReported; then the
+// report is exactly a fresh checker's.
+func TestReportedSetOutlivesReset(t *testing.T) {
+	h := newHarness(t)
+	first := driveFigure2Bug(h)
+	if !strings.Contains(first, "read-too-new") || !strings.Contains(first, "fix: ") {
+		t.Fatalf("first run must report the bug with fixes, got:\n%s", first)
+	}
+	if again := driveFigure2Bug(h); again != "" {
+		t.Fatalf("after Reset the reported bug came back:\n%s", again)
+	}
+	h.c.ForgetReported()
+	if third := driveFigure2Bug(h); third != first {
+		t.Fatalf("after ForgetReported:\n%s\nwant:\n%s", third, first)
+	}
+	if fresh := driveFigure2Bug(newHarness(t)); fresh != first {
+		t.Fatalf("fresh checker:\n%s\nwant:\n%s", fresh, first)
+	}
+
+	// A snapshot taken before the report does not bring its key back.
+	h = newHarness(t)
+	h.m.Store(0, addrX, 1, h.m.Intern("x=1"))
+	h.m.Store(0, addrY, 1, h.m.Intern("y=1"))
+	h.m.Store(0, addrX, 2, h.m.Intern("x=2"))
+	h.m.Store(0, addrY, 2, h.m.Intern("y=2"))
+	h.m.Crash()
+	snap := h.c.Snapshot()
+	h.readValue(0, addrX, 1, false, "r1=x")
+	if vs := h.readValue(0, addrY, 2, false, "r2=y"); len(vs) != 1 {
+		t.Fatalf("want the bug reported before Restore, got %v", vs)
+	}
+	h.c.Restore(snap)
+	h.readValue(0, addrX, 1, false, "r1=x")
+	if vs := h.readValue(0, addrY, 2, false, "r2=y"); len(vs) != 0 {
+		t.Fatalf("Restore brought a reported key back: %v", vs)
+	}
+	if n := len(h.c.Violations()); n != 0 {
+		t.Fatalf("violations after Restore = %d, want the snapshot's 0", n)
 	}
 }
 

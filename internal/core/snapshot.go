@@ -6,14 +6,13 @@ import (
 )
 
 // Snapshot is the checker's restorable state at a crash boundary:
-// constraint intervals, the violation dedup set, deferred checksum
-// loads, and the committed violation list. Interval endpoints and
-// deferred loads reference prefix trace stores, which the explorer's
-// trace rewind leaves untouched, so a snapshot stays valid for as long
-// as its trace mark does.
+// constraint intervals, deferred checksum loads, and the committed
+// violation list (the dedup set outlives Restore, as it does Reset).
+// Interval endpoints and deferred loads reference prefix trace stores,
+// which the explorer's trace rewind leaves untouched, so a snapshot
+// stays valid for as long as its trace mark does.
 type Snapshot struct {
 	cons       map[consKey]intervals.Interval
-	seen       map[violationKey]bool
 	deferred   map[memmodel.ThreadID][]deferredLoad
 	violations []*Violation
 }
@@ -25,14 +24,10 @@ type Snapshot struct {
 func (c *Checker) Snapshot() *Snapshot {
 	s := &Snapshot{
 		cons:     make(map[consKey]intervals.Interval, len(c.cons)),
-		seen:     make(map[violationKey]bool, len(c.seen)),
 		deferred: make(map[memmodel.ThreadID][]deferredLoad, len(c.deferred)),
 	}
 	for k, v := range c.cons {
 		s.cons[k] = v
-	}
-	for k := range c.seen {
-		s.seen[k] = true
 	}
 	for t, dl := range c.deferred {
 		cp := make([]deferredLoad, len(dl))
@@ -54,10 +49,6 @@ func (c *Checker) Restore(s *Snapshot) {
 	clear(c.cons)
 	for k, v := range s.cons {
 		c.cons[k] = v
-	}
-	clear(c.seen)
-	for k := range s.seen {
-		c.seen[k] = true
 	}
 	clear(c.deferred)
 	for t, dl := range s.deferred {

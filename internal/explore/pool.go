@@ -327,8 +327,8 @@ type mcSubtree struct {
 // mcWorkerState is one scheduler worker's reusable machinery: the
 // controller its worlds' choosers close over (unit trails are swapped
 // in and out of it) and the world reused across executions *and* units
-// (World.Reset restores the initial state exactly; the reuse property
-// test asserts it).
+// (World.Reset restores the initial state exactly, bar the checker's
+// reported set, which runUnit empties; the reuse tests assert it).
 type mcWorkerState struct {
 	w      *pmem.World
 	ctl    *controller
@@ -758,6 +758,9 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 	ctl.trail = u.trail
 	ctl.pos = 0
 	u.popped = true
+	if ws.w != nil {
+		ws.w.Checker.ForgetReported() // the unit is the dedup scope (dedupExec)
+	}
 	first := u.classify
 	useSnaps := e.reentrant && !e.opt.DisableSnapshots && !e.opt.FreshWorlds
 	// Donation gating: armed chaos injection disables demand-driven

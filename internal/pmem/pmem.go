@@ -236,7 +236,9 @@ func NewWorld(cfg Config) *World {
 // Reset returns the world to its initial state — zeroed memory, empty
 // trace, unconstrained checker, fresh heap — reseeding the random source
 // so the world replays exactly as a new one built with the same seed.
-// The configured chooser, op limit, and drain percentage persist.
+// The configured chooser, op limit, and drain percentage persist, and so
+// does the checker's set of already-reported violations
+// (core.Checker.ForgetReported).
 // Allocations made by previous executions (trace arenas, intern table,
 // epoch pools, scratch buffers) are retained for reuse.
 func (w *World) Reset(seed int64) {

@@ -19,8 +19,9 @@ import (
 // both exploration modes, the default reused-World engine produces the
 // same Result as one forced to build a fresh World per execution. This
 // is the oracle for Machine.Reset, Trace.Reset, Checker.Reset, and
-// Heap.Reset: any state leaking across executions shows up as a
-// violation-key, execution-count, or abort-count difference.
+// Heap.Reset, and for the checker's reported set, which deliberately
+// outlives Reset: any state leaking across executions shows up as a
+// difference in a violation report, execution count, or abort count.
 func TestWorldReuseMatchesFreshWorlds(t *testing.T) {
 	execs := scaled(100)
 	for _, mode := range []explore.Mode{explore.Random, explore.ModelCheck} {
@@ -32,35 +33,50 @@ func TestWorldReuseMatchesFreshWorlds(t *testing.T) {
 				reused := explore.Run(b.Build(bench.Buggy), opt)
 				opt.FreshWorlds = true
 				fresh := explore.Run(b.Build(bench.Buggy), opt)
-				assertSameOutcome(t, b.Name, reused, fresh)
-				// Violation reports must match in full, not just by key:
-				// frozen store copies, fixes, and intervals are part of
-				// the user-visible output.
-				if len(reused.Violations) == len(fresh.Violations) {
-					for i := range reused.Violations {
-						if reused.Violations[i].String() != fresh.Violations[i].String() {
-							t.Fatalf("violation %d renders differently:\nreused: %s\nfresh:  %s",
-								i, reused.Violations[i], fresh.Violations[i])
-						}
-					}
-				}
+				assertSameReports(t, b.Name, reused, fresh)
 			})
 		}
 	}
 }
 
+// assertSameReports asserts assertSameOutcome and, beyond the keys, that
+// every violation report matches in full: frozen store copies, fixes,
+// intervals and provenance are part of the user-visible output.
+func assertSameReports(t *testing.T, context string, a, b *explore.Result) {
+	t.Helper()
+	assertSameOutcome(t, context, a, b)
+	if a.Quarantined != b.Quarantined {
+		t.Fatalf("%s: Quarantined %d vs %d", context, a.Quarantined, b.Quarantined)
+	}
+	for i, v := range a.Violations {
+		w := b.Violations[i]
+		if v.String() != w.String() || v.Prov.Narrative() != w.Prov.Narrative() {
+			t.Fatalf("%s: violation %d renders differently:\n%s%s\nvs:\n%s%s",
+				context, i, v, v.Prov.Narrative(), w, w.Prov.Narrative())
+		}
+	}
+}
+
 // TestWorldReuseMatchesFreshWorldsParallel covers the per-worker reuse
-// path of the parallel random engine.
+// paths of the parallel engines: random-mode workers keep one world (and
+// its checker's reported set) across all the batches they claim, and
+// model-check workers keep theirs across units, forgetting the reported
+// set at each unit start. Provenance is on, so it is compared too.
 func TestWorldReuseMatchesFreshWorldsParallel(t *testing.T) {
 	execs := scaled(100)
 	for _, b := range benchmarks.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			opt := explore.Options{Mode: explore.Random, Executions: execs, Seed: 11, Workers: 8}
-			reused := explore.Run(b.Build(bench.Buggy), opt)
-			opt.FreshWorlds = true
-			fresh := explore.Run(b.Build(bench.Buggy), opt)
-			assertSameOutcome(t, b.Name, reused, fresh)
+			for _, opt := range []explore.Options{
+				{Mode: explore.Random, Workers: 8},
+				{Mode: explore.ModelCheck, Workers: 4, ForceSteals: true},
+			} {
+				opt.Executions, opt.Seed, opt.Provenance = execs, 11, true
+				reused := explore.Run(b.Build(bench.Buggy), opt)
+				opt.FreshWorlds = true
+				fresh := explore.Run(b.Build(bench.Buggy), opt)
+				assertSameReports(t, b.Name+" "+opt.Mode.String(), reused, fresh)
+			}
 		})
 	}
 }
