@@ -33,6 +33,7 @@ var testdataPrograms = []struct {
 	{"sameline.pm", explore.ModelCheck, 10000, true},
 	{"counter.pm", explore.ModelCheck, 30000, false},
 	{"twocrash.pm", explore.ModelCheck, 10000, false},
+	{"threaded-recovery.pm", explore.ModelCheck, 10000, false},
 }
 
 func loadProgram(t *testing.T, name string) *lang.Program {

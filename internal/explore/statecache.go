@@ -48,7 +48,14 @@
 // a continuation that aborts on its budget could be deduplicated
 // against one that would abort slightly later. Budgets are a safety
 // net two orders of magnitude above real executions, so this does not
-// affect verdicts.
+// affect verdicts. Nor is the random source's position: a
+// multi-threaded phase 0 can reach one image after different numbers
+// of scheduling draws, and a later multi-threaded phase would then
+// draw a different schedule. Model checking explores one schedule per
+// crash point rather than enumerating interleavings, and no shipped
+// program has threads on both sides of its first crash
+// (testdata/threaded-recovery.pm, whose recovery phase is threaded,
+// reports the same violations with the cache on or off).
 package explore
 
 import (

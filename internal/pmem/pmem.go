@@ -133,7 +133,8 @@ type World struct {
 	Heap    *Heap
 
 	chooser     ReadChooser
-	rng         *rand.Rand
+	rng         *rand.Rand // wraps src
+	src         *rngSource
 	crashTarget int
 	fenceOps    int
 	ops         int
@@ -210,12 +211,14 @@ func NewWorld(cfg Config) *World {
 	if limit == 0 {
 		limit = 1 << 20
 	}
+	src := newRNGSource(cfg.Seed)
 	w := &World{
 		M:           m,
 		Checker:     core.New(m.Trace()),
 		Heap:        NewHeap(),
 		chooser:     chooser,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(src),
+		src:         src,
 		crashTarget: cfg.CrashTarget,
 		opLimit:     limit,
 		drainPct:    cfg.RandomDrainPercent,

@@ -13,6 +13,7 @@ package repro
 // these are the safety net that lets snapshots default to on.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -209,7 +210,8 @@ func TestSnapshotEquivalenceOnBenchmarks(t *testing.T) {
 // .pm litmus program at one and four workers. twocrash.pm has two
 // pre-crash phases, so its searches restore snapshots taken after the
 // second crash with the first crash's snapshot still live below them;
-// it must restore at least once.
+// it must restore at least once, and so must threaded-recovery.pm,
+// whose restored executions go on to draw a two-thread schedule.
 func TestSnapshotEquivalenceOnLitmusPrograms(t *testing.T) {
 	entries, err := os.ReadDir("testdata")
 	if err != nil {
@@ -235,10 +237,49 @@ func TestSnapshotEquivalenceOnLitmusPrograms(t *testing.T) {
 				opt.DisableSnapshots = true
 				off := explore.Run(interp.New(name, prog), opt)
 				assertSameReducedOutcome(t, name, on, off)
-				if name == "twocrash.pm" && on.SnapshotRestores == 0 {
-					t.Fatalf("workers=%d: the two-crash program restored no snapshot", workers)
+				if (name == "twocrash.pm" || name == "threaded-recovery.pm") && on.SnapshotRestores == 0 {
+					t.Fatalf("workers=%d: the multi-crash program restored no snapshot", workers)
 				}
 			}
 		})
+	}
+}
+
+// TestThreadedRecoveryEquivalence: on a program whose post-crash phase
+// draws a two-thread schedule from the world's random source, snapshots
+// on or off, the state cache on or off, and one or four workers all
+// report the same violations, in full. The snapshot must carry the
+// source's position: a restored execution that drew from wherever the
+// previous execution left the source would schedule phase 1 differently
+// from a full replay and find a different witness.
+func TestThreadedRecoveryEquivalence(t *testing.T) {
+	const name = "threaded-recovery.pm"
+	prog := loadProgram(t, name)
+	run := func(opt explore.Options) *explore.Result {
+		opt.Mode, opt.Executions, opt.Provenance = explore.ModelCheck, 20000, true
+		return explore.Run(interp.New(name, prog), opt)
+	}
+	base := run(explore.Options{Workers: 1, DisableSnapshots: true})
+	if len(base.Violations) == 0 {
+		t.Fatal("replayed search found no violation — the comparison proves nothing")
+	}
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("workers=%d", workers)
+		snap := run(explore.Options{Workers: workers})
+		if snap.SnapshotRestores == 0 {
+			t.Fatalf("%s: no snapshot restored — the comparison proves nothing", label)
+		}
+		assertSameReports(t, label+" snapshots on vs off", snap, base)
+		assertSameReports(t, label+" snapshots off", run(explore.Options{Workers: workers, DisableSnapshots: true}), base)
+		// The cache prunes executions, so only the reports must match.
+		noCache := run(explore.Options{Workers: workers, NoStateCache: true})
+		if len(noCache.Violations) != len(base.Violations) {
+			t.Fatalf("%s: state cache off reports %d violations, on %d", label, len(noCache.Violations), len(base.Violations))
+		}
+		for i, v := range noCache.Violations {
+			if w := base.Violations[i]; v.String() != w.String() || v.Prov.Narrative() != w.Prov.Narrative() {
+				t.Fatalf("%s: state cache off renders violation %d differently:\n%s\nvs:\n%s", label, i, v, w)
+			}
+		}
 	}
 }
