@@ -6,11 +6,13 @@ package repro
 // renders, so `go test -bench .` regenerates every number.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/benchmarks"
 	"repro/internal/benchmarks/bench"
+	"repro/internal/benchmarks/redislog"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/intervals"
@@ -18,11 +20,13 @@ import (
 	"repro/internal/litmus"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/pmem"
 	"repro/internal/px86"
 	"repro/internal/repair"
 	"repro/internal/report"
 	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 // BenchmarkTable1Comparison measures the live tool-comparison demo:
@@ -193,6 +197,29 @@ func BenchmarkExploreRandomSerial(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRandomPilot measures the random-mode pilot, which sizes the
+// crash-point ranges before any execution runs, on one stream of the
+// perfbench stream-redis workload: the fixed redislog port driven by
+// 2,000 requests at trace window 64. The campaign's context is canceled
+// up front, so each iteration plans the campaign and runs no execution.
+func BenchmarkRandomPilot(b *testing.B) {
+	prog := redislog.BuildWorkload(bench.Fixed, workload.Config{
+		Seed: 100, Ops: 2000, Keys: 512, ZipfS: 1.2, ReadPct: 85, Threads: 2,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res := explore.Run(prog, explore.Options{
+			Mode: explore.Random, Executions: 1, Seed: 100, Workers: 1,
+			Model: persist.Config{Window: 64}, OpLimit: 2000*64 + 4096, Context: ctx,
+		})
+		if res.Executions != 0 {
+			b.Fatalf("ran %d executions, want only the pilot", res.Executions)
+		}
 	}
 }
 

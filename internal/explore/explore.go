@@ -179,7 +179,10 @@ type Options struct {
 	// Model selects and configures the persistency-model backend
 	// (persist.Config zero value: px86, immediate commit). It is the
 	// single model-config path — pmem.Config receives exactly this
-	// value, so the two layers cannot disagree.
+	// value, so the two layers cannot disagree. The one exception is
+	// random mode's crash-free pilot, which sizes the crash-point
+	// ranges: it always commits immediately, so setting DelayedCommit
+	// (or StoreBuffers) does not change the ranges.
 	Model persist.Config
 	// OpLimit bounds operations per execution (0: pmem default).
 	OpLimit int
@@ -913,17 +916,18 @@ type randomPlan struct {
 
 // planRandom runs the pilot execution and fixes the per-run knobs.
 func planRandom(p Program, opt *Options) *randomPlan {
-	numPre := len(p.Phases()) - 1
-	// Pilot execution: run crash-free to size the crash-point ranges.
-	pilotCounts := make([]int, numPre)
+	// Pilot execution: run crash-free to size the crash-point ranges,
+	// on a count-only world (pmem.NewCountingWorld): it gives the full
+	// world's counts without the backend, trace or checker. It always
+	// commits immediately, whatever the model config says.
+	pilotCounts := make([]int, len(p.Phases())-1)
 	// The pilot is sizing scaffolding, not exploration: strip the
 	// observer so its ops never land in the campaign's counters. (A
 	// supervised campaign runs one pilot per unit; fleet-aggregated
 	// counters must still equal the in-process run's, which pilots once.)
 	pilotModel := opt.Model
 	pilotModel.Obs = nil
-	pilot := pmem.NewWorld(pmem.Config{Model: pilotModel, Seed: opt.Seed, OpLimit: opt.OpLimit})
-	pilot.Checker.SetEnabled(false)
+	pilot := pmem.NewCountingWorld(pmem.Config{Model: pilotModel, Seed: opt.Seed, OpLimit: opt.OpLimit})
 	countingPilot(p, pilot, pilotCounts)
 
 	chooser := pmem.ChooseAvoidingViolations(pmem.ChooseRandom)
@@ -1092,27 +1096,39 @@ func runRandom(p Program, opt Options, st *stopper) *Result {
 }
 
 // countingPilot runs the program crash-free and records how many
-// fence-like operations each non-final phase performs.
+// fence-like operations each non-final phase performs, in counts (one
+// entry per non-final phase). It stops after the last of them: nothing
+// reads the final phase's count. A phase that exceeds the op budget
+// still records the fence-like operations it reached, and ends the
+// pilot.
 func countingPilot(p Program, w *pmem.World, counts []int) {
+	phases := p.Phases()
+	for i := range counts {
+		if i > 0 {
+			w.Crash()
+		}
+		w.SetCrashTarget(-1)
+		aborted := runPilotPhase(w, phases[i])
+		counts[i] = w.FenceOps()
+		if aborted {
+			return
+		}
+	}
+}
+
+// runPilotPhase runs one crash-free pilot phase, reporting whether it
+// exceeded the op budget.
+func runPilotPhase(w *pmem.World, phase func(*pmem.World)) (aborted bool) {
 	defer func() {
-		// An aborted pilot still yields usable counts.
 		if r := recover(); r != nil {
 			if _, ok := r.(pmem.AbortSignal); !ok {
 				panic(r)
 			}
+			aborted = true
 		}
 	}()
-	phases := p.Phases()
-	for i, phase := range phases {
-		w.SetCrashTarget(-1)
-		w.RunPhase(phase)
-		if i < len(counts) {
-			counts[i] = w.FenceOps()
-		}
-		if i < len(phases)-1 {
-			w.Crash()
-		}
-	}
+	w.RunPhase(phase)
+	return false
 }
 
 // --- model checking mode: DFS over decision points ---

@@ -189,6 +189,11 @@ type World struct {
 	// increment a nil-check no-op; it survives Reset like the rest of the
 	// configuration.
 	wobs obs.WorldMetrics
+
+	// flat, non-nil only in a counting world (NewCountingWorld), is the
+	// whole memory: each word's last written value. Operations then
+	// bypass the backend, the trace and the checker.
+	flat map[memmodel.Addr]memmodel.Value
 }
 
 // RecordAssertFailure notes a failed program assertion.
@@ -236,6 +241,25 @@ func NewWorld(cfg Config) *World {
 	return w
 }
 
+// NewCountingWorld builds a count-only world. It runs phases as a
+// NewWorld with the same seed and op limit does under ChooseNewest,
+// immediate commit and no random drains, but keeps memory as a flat word
+// map and skips the backend, location interning, the trace, the checker
+// and retirement. The op budget, fence counting and scheduler draws are
+// those of step, so FenceOps, Ops and the random stream match the full
+// world's. A crash keeps every word: "everything persisted" is always a
+// legal crash image, and it is the one ChooseNewest reads. The chooser,
+// the drain percentage, the window and delayed commit are ignored, and
+// Snapshot is not supported. The exploration harness sizes random-mode
+// crash ranges with it (§6.1).
+func NewCountingWorld(cfg Config) *World {
+	cfg.Model.Window = 0
+	cfg.RandomDrainPercent = 0
+	w := NewWorld(cfg)
+	w.flat = make(map[memmodel.Addr]memmodel.Value)
+	return w
+}
+
 // Reset returns the world to its initial state — zeroed memory, empty
 // trace, unconstrained checker, fresh heap — reseeding the random source
 // so the world replays exactly as a new one built with the same seed.
@@ -248,6 +272,7 @@ func (w *World) Reset(seed int64) {
 	w.M.Reset()
 	w.Checker.Reset()
 	w.Heap.Reset()
+	clear(w.flat)
 	w.rng.Seed(seed)
 	w.crashTarget = -1
 	w.fenceOps = 0
@@ -274,7 +299,7 @@ func (w *World) Rand() *rand.Rand { return w.rng }
 
 // FenceOps returns the number of fence-like operations executed in the
 // current phase; the harness uses a pilot run to size the crash-point
-// range (§6.1 model checking mode).
+// range in random mode (§6.1).
 func (w *World) FenceOps() int { return w.fenceOps }
 
 // Ops returns the number of operations the current execution has
@@ -312,9 +337,12 @@ func (w *World) RunPhase(phase func(*World)) (crashed bool) {
 	return false
 }
 
-// Crash crashes the machine and starts the next sub-execution.
+// Crash crashes the machine and starts the next sub-execution. A
+// counting world keeps its memory as it is.
 func (w *World) Crash() {
-	w.M.Crash()
+	if w.flat == nil {
+		w.M.Crash()
+	}
 	w.crashed = false
 	w.fenceOps = 0
 }
@@ -449,6 +477,10 @@ func (t *Thread) step(kind memmodel.OpKind) {
 // Store writes v to word a.
 func (t *Thread) Store(a memmodel.Addr, v memmodel.Value, loc string) {
 	t.step(memmodel.OpStore)
+	if t.w.flat != nil {
+		t.w.flat[a.Word()] = v
+		return
+	}
 	t.w.M.Store(t.ID, a, v, t.w.M.Intern(loc))
 }
 
@@ -457,6 +489,9 @@ func (t *Thread) Store(a memmodel.Addr, v memmodel.Value, loc string) {
 func (t *Thread) Load(a memmodel.Addr, loc string) memmodel.Value {
 	t.step(memmodel.OpLoad)
 	w := t.w
+	if w.flat != nil {
+		return w.flat[a.Word()]
+	}
 	lid := w.M.Intern(loc)
 	cands := w.M.LoadCandidates(t.ID, a)
 	chosen := cands[0]
@@ -471,24 +506,36 @@ func (t *Thread) Load(a memmodel.Addr, loc string) memmodel.Value {
 // Flush issues clflush on the line containing a.
 func (t *Thread) Flush(a memmodel.Addr, loc string) {
 	t.step(memmodel.OpFlush)
+	if t.w.flat != nil {
+		return
+	}
 	t.w.M.Flush(t.ID, a, t.w.M.Intern(loc))
 }
 
 // FlushOpt issues clflushopt/clwb on the line containing a.
 func (t *Thread) FlushOpt(a memmodel.Addr, loc string) {
 	t.step(memmodel.OpFlushOpt)
+	if t.w.flat != nil {
+		return
+	}
 	t.w.M.FlushOpt(t.ID, a, t.w.M.Intern(loc))
 }
 
 // SFence issues a store fence (a drain operation).
 func (t *Thread) SFence(loc string) {
 	t.step(memmodel.OpSFence)
+	if t.w.flat != nil {
+		return
+	}
 	t.w.M.SFence(t.ID, t.w.M.Intern(loc))
 }
 
 // MFence issues a full fence (a drain operation).
 func (t *Thread) MFence(loc string) {
 	t.step(memmodel.OpMFence)
+	if t.w.flat != nil {
+		return
+	}
 	t.w.M.MFence(t.ID, t.w.M.Intern(loc))
 }
 
@@ -506,6 +553,14 @@ func (t *Thread) Persist(a memmodel.Addr, size int, loc string) {
 func (t *Thread) CAS(a memmodel.Addr, expected, newV memmodel.Value, loc string) (memmodel.Value, bool) {
 	t.step(memmodel.OpCAS)
 	w := t.w
+	if w.flat != nil {
+		old := w.flat[a.Word()]
+		if old != expected {
+			return old, false
+		}
+		w.flat[a.Word()] = newV
+		return old, true
+	}
 	lid := w.M.Intern(loc)
 	cands := w.M.LoadCandidates(t.ID, a)
 	chosen := cands[0]
@@ -521,6 +576,11 @@ func (t *Thread) CAS(a memmodel.Addr, expected, newV memmodel.Value, loc string)
 func (t *Thread) FAA(a memmodel.Addr, delta memmodel.Value, loc string) memmodel.Value {
 	t.step(memmodel.OpFAA)
 	w := t.w
+	if w.flat != nil {
+		old := w.flat[a.Word()]
+		w.flat[a.Word()] = old + delta
+		return old
+	}
 	lid := w.M.Intern(loc)
 	cands := w.M.LoadCandidates(t.ID, a)
 	chosen := cands[0]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
+	"repro/internal/persist"
 )
 
 const (
@@ -248,5 +249,48 @@ func TestChecksumRegionThroughThread(t *testing.T) {
 	th.EndChecksum(false)
 	if n := len(w.Checker.Violations()); n != 0 {
 		t.Fatalf("violations = %d, want 0 (checksum failed, data discarded)", n)
+	}
+}
+
+// TestCountingWorld pins the count-only world's semantics: every
+// operation counts as in a full world, memory reads the last written
+// value, a crash keeps it (the everything-persisted image), and Reset
+// clears it. The backend never sees an operation.
+func TestCountingWorld(t *testing.T) {
+	w := NewCountingWorld(Config{Model: persist.Config{Window: 64, DelayedCommit: true}, CrashTarget: -1})
+	th := w.Thread(0)
+	th.Store(addrX, 1, "x=1")
+	th.Persist(addrX, memmodel.WordSize, "persist x") // flushopt + sfence
+	if old, ok := th.CAS(addrY, 0, 5, "cas y"); old != 0 || !ok {
+		t.Fatalf("CAS = %d, %v, want 0, true", old, ok)
+	}
+	if old, ok := th.CAS(addrY, 0, 6, "cas y"); old != 5 || ok {
+		t.Fatalf("failed CAS = %d, %v, want 5, false", old, ok)
+	}
+	if old := th.FAA(addrY, 2, "faa y"); old != 5 {
+		t.Fatalf("FAA = %d, want 5", old)
+	}
+	th.Flush(addrY, "flush y")
+	th.MFence("mfence")
+	if got, want := w.FenceOps(), 7; got != want { // every op but the store
+		t.Fatalf("FenceOps = %d, want %d", got, want)
+	}
+	if got, want := w.Ops(), 8; got != want {
+		t.Fatalf("Ops = %d, want %d", got, want)
+	}
+	w.Crash()
+	if w.FenceOps() != 0 {
+		t.Fatal("Crash must reset the fence count")
+	}
+	th = w.Thread(0)
+	if x, y := th.Load(addrX, "r=x"), th.Load(addrY+3, "r=y"); x != 1 || y != 7 {
+		t.Fatalf("after crash x, y = %d, %d, want 1, 7", x, y)
+	}
+	if n := w.M.Trace().Stats().Events; n != 0 {
+		t.Fatalf("backend trace recorded %d events", n)
+	}
+	w.Reset(1)
+	if got := w.Thread(0).Load(addrX, "r=x"); got != 0 {
+		t.Fatalf("after Reset x = %d, want 0", got)
 	}
 }
