@@ -127,14 +127,14 @@ func BenchmarkExploreParallel(b *testing.B) {
 }
 
 // BenchmarkExploreModelCheckParallel measures model-check throughput
-// of the work-stealing scheduler on the CCEH and FAST_FAIR ports at
-// 1/2/4/8 workers. Every width assembles the identical canonical
+// of the work-stealing scheduler on the CCEH, FAST_FAIR and P-ART
+// ports at 1/2/4/8 workers. Every width assembles the identical canonical
 // stream (see TestStealDeterminismModelCheck); only wall-clock
 // changes, and only on multi-core hardware — on one core the wider
 // rows price the scheduler's overhead instead. The steal=off rows are
 // the -steal=false A/B: one pinned unit per crash-target subtree.
 func BenchmarkExploreModelCheckParallel(b *testing.B) {
-	for _, name := range []string{"CCEH", "FAST_FAIR"} {
+	for _, name := range []string{"CCEH", "FAST_FAIR", "P-ART"} {
 		bm := benchmarks.ByName(name)
 		if bm == nil {
 			b.Fatalf("%s not registered", name)
@@ -226,7 +226,7 @@ func BenchmarkRandomPilot(b *testing.B) {
 // BenchmarkExploreModelCheckSerial is the exhaustive-mode counterpart of
 // BenchmarkExploreRandomSerial: one capped serial DFS per iteration.
 func BenchmarkExploreModelCheckSerial(b *testing.B) {
-	for _, name := range []string{"CCEH", "FAST_FAIR"} {
+	for _, name := range []string{"CCEH", "FAST_FAIR", "P-ART"} {
 		bm := benchmarks.ByName(name)
 		if bm == nil {
 			b.Fatalf("%s not registered", name)

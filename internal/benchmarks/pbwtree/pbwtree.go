@@ -228,19 +228,16 @@ func (t *bwTree) recover(th *pmem.Thread) {
 	}
 }
 
-// workloadPhase is the pre-crash phase: constructor, thread-local GC
-// setup, five inserts (forcing one GrowChunk), driver marker.
-func workloadPhase(t *bwTree) func(*pmem.World) {
-	return func(w *pmem.World) {
-		th := w.Thread(0)
-		t.create(th)
-		t.prepareThreadLocal(th)
-		for k := memmodel.Value(1); k <= 5; k++ {
-			t.insert(th, k, k*10)
-		}
-		th.Store(markerAddr, 5, "driver marker")
-		th.Persist(markerAddr, memmodel.WordSize, "persist driver marker")
+// workload is the pre-crash phase: constructor, thread-local GC setup,
+// five inserts (forcing one GrowChunk), driver marker.
+func (t *bwTree) workload(th *pmem.Thread) {
+	t.create(th)
+	t.prepareThreadLocal(th)
+	for k := memmodel.Value(1); k <= 5; k++ {
+		t.insert(th, k, k*10)
 	}
+	th.Store(markerAddr, 5, "driver marker")
+	th.Persist(markerAddr, memmodel.WordSize, "persist driver marker")
 }
 
 // template runs the workload once, crash-free, on a throwaway world to
@@ -253,26 +250,25 @@ func template(v bench.Variant) *bwTree {
 	t := &bwTree{v: v}
 	w := pmem.NewWorld(pmem.Config{CrashTarget: -1})
 	w.Checker.SetEnabled(false)
-	w.RunPhase(workloadPhase(t))
+	w.RunPhase(func(w *pmem.World) { t.workload(w.Thread(0)) })
 	return t
 }
 
-// Build constructs the exploration program for a variant. Each
-// execution gets a fresh bwTree instance (pre-seeded from the template)
-// so concurrent executions never share the mirror fields.
+// Build constructs the exploration program for a variant.
+//
+// The phases are world-pure: the template is never written after
+// construction. The pre-crash phase fills in a phase-local copy's
+// mirrors, and recovery reads only the template's, which equal them.
 func Build(v bench.Variant) explore.Program {
 	tmpl := template(v)
-	return &explore.InstancedProgram{
+	return &explore.FuncProgram{
 		ProgName: "P-BwTree-" + v.String(),
-		New: func() []func(*pmem.World) {
-			t := &bwTree{}
-			*t = *tmpl
-			return []func(*pmem.World){
-				workloadPhase(t),
-				func(w *pmem.World) {
-					t.recover(w.Thread(0))
-				},
-			}
+		PhaseFns: []func(*pmem.World){
+			func(w *pmem.World) {
+				t := *tmpl
+				t.workload(w.Thread(0))
+			},
+			func(w *pmem.World) { tmpl.recover(w.Thread(0)) },
 		},
 	}
 }

@@ -36,9 +36,18 @@ import (
 // Program is a persistent-memory test program: one or more crash-
 // delimited phases. The explorer injects a crash inside (or at the end
 // of) every phase except the last, then runs the next phase on the
-// surviving persistent image. Phase functions must be deterministic
-// given the world (all nondeterminism flows through the world's random
-// source and read policy).
+// surviving persistent image.
+//
+// Every Program is world-pure. Phases is called once per worker (and
+// once at setup), and the returned functions run for every execution
+// that worker explores, concurrently with other workers' calls. A phase
+// function must be deterministic given the world (all nondeterminism
+// flows through the world's random source and read policy) and must
+// derive all cross-phase state from the World: no Go state written by
+// one phase may be read by a later one. The model checker relies on
+// this to re-enter a later phase on a restored world snapshot without
+// re-running the earlier ones; TestProgramsWorldPure checks it for
+// every registered port.
 type Program interface {
 	// Name identifies the program in reports.
 	Name() string
@@ -59,54 +68,13 @@ func (p *FuncProgram) Name() string { return p.ProgName }
 // Phases implements Program.
 func (p *FuncProgram) Phases() []func(*pmem.World) { return p.PhaseFns }
 
-// InstancedProgram builds a fresh set of phase closures for every
-// execution. Ports whose phase functions mutate receiver state (pointer
-// mirrors filled in during the pre-crash phase) use it so concurrent
-// executions never share that state: the harness calls Phases once per
-// execution, and each call gets its own instance.
-type InstancedProgram struct {
-	ProgName string
-	// New returns a freshly instantiated phase slice. It must be safe
-	// to call from multiple goroutines and each returned slice must be
-	// independent of every other.
-	New func() []func(*pmem.World)
-}
-
-// Name implements Program.
-func (p *InstancedProgram) Name() string { return p.ProgName }
-
-// Phases implements Program.
-func (p *InstancedProgram) Phases() []func(*pmem.World) { return p.New() }
-
-// ReentrantPhases is an optional Program capability: a program reports
-// true when its phase functions derive all cross-phase state from the
-// World — no mutable receiver or captured state carried from one phase
-// into the next — so the explorer may re-enter a later phase on a
-// restored world snapshot without re-running the earlier ones.
+// ReentrantPhases is a former optional Program capability.
 //
-// FuncProgram qualifies by construction: the parallel engine already
-// calls the same closures concurrently from many workers, so they
-// cannot carry mutable shared state. InstancedProgram exists precisely
-// for ports that mutate per-execution receiver state (pointer mirrors
-// filled in pre-crash) and reports false. Programs that do not
-// implement the interface are conservatively treated as non-reentrant.
+// Deprecated: every Program is world-pure (see Program), and the
+// explorer never reads this interface. It remains only so that existing
+// wrappers that forward it still compile.
 type ReentrantPhases interface {
 	PhasesReentrant() bool
-}
-
-// PhasesReentrant implements ReentrantPhases: plain phase functions are
-// shared across concurrent workers and so must already be world-pure.
-func (p *FuncProgram) PhasesReentrant() bool { return true }
-
-// PhasesReentrant implements ReentrantPhases: instanced ports mutate
-// per-execution receiver state, so a later phase cannot be re-entered
-// without re-running the phases that populated it.
-func (p *InstancedProgram) PhasesReentrant() bool { return false }
-
-// phasesReentrant resolves the capability with the conservative default.
-func phasesReentrant(p Program) bool {
-	r, ok := p.(ReentrantPhases)
-	return ok && r.PhasesReentrant()
 }
 
 // Mode selects the exploration strategy.
@@ -155,9 +123,8 @@ type Options struct {
 	// snapshot taken at its deepest still-valid crash boundary.
 	// Results are bit-identical either way (the snapshot property test
 	// asserts it); the option exists for A/B timing and for debugging
-	// suspected restore bugs. Snapshots only apply to programs whose
-	// phases are reentrant (see ReentrantPhases) and never to
-	// FreshWorlds runs.
+	// suspected restore bugs. Snapshots never apply to FreshWorlds
+	// runs.
 	DisableSnapshots bool
 	// DisableStealing turns off work stealing in the parallel model-check
 	// engine: when a worker's queue drains it normally carves the
@@ -653,7 +620,7 @@ func (r *Result) mergeViolations(seen map[string]bool, vs []*core.Violation, exe
 // tr/tid attach a crash-resolution span per injected crash to the
 // worker's trace timeline; a nil tracer costs two nil checks and reads
 // no clock.
-func runPhases(p Program, w *pmem.World, crashTargets []int, tr *obs.Tracer, tid int) (aborted bool, execErr *ExecError) {
+func runPhases(phases []func(*pmem.World), w *pmem.World, crashTargets []int, tr *obs.Tracer, tid int) (aborted bool, execErr *ExecError) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(pmem.AbortSignal); ok {
@@ -663,7 +630,6 @@ func runPhases(p Program, w *pmem.World, crashTargets []int, tr *obs.Tracer, tid
 			execErr = captureExecError(r)
 		}
 	}()
-	phases := p.Phases()
 	for i, phase := range phases {
 		last := i == len(phases)-1
 		if last {
@@ -952,16 +918,23 @@ func planRandom(p Program, opt *Options) *randomPlan {
 	}
 }
 
-// workerState is one worker's reusable per-execution scratch: the world
-// (machine, trace, checker, heap, RNG — reset between executions), the
+// workerState is one worker's reusable per-execution scratch: the
+// program's phases (resolved once per worker), the world (machine,
+// trace, checker, heap, RNG — reset between executions), the
 // crash-target buffer, and the worker's observability identity (trace
 // timeline tid and per-worker instrument bundle; zero when off).
 type workerState struct {
+	phases  []func(*pmem.World)
 	w       *pmem.World
 	targets []int
 	tid     int // 1-based trace timeline id
 	tr      *obs.Tracer
 	wm      obs.WorkerMetrics
+}
+
+// newWorkerState sets up worker tid's scratch for a random-mode run.
+func newWorkerState(p Program, opt *Options, tid int) *workerState {
+	return &workerState{phases: p.Phases(), tid: tid, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), tid)}
 }
 
 func (ws *workerState) targetBuf(n int) []int {
@@ -1001,7 +974,7 @@ func randomExecution(p Program, opt *Options, plan *randomPlan, ws *workerState,
 		// past the end (crash after the last operation).
 		targets[i] = w.Rand().Intn(plan.pilotCounts[i] + 1)
 	}
-	aborted, execErr := runPhases(p, w, targets, ws.tr, ws.tid)
+	aborted, execErr := runPhases(ws.phases, w, targets, ws.tr, ws.tid)
 	o := execOutcome{
 		index:   exec,
 		aborted: aborted,
@@ -1059,7 +1032,7 @@ func runRandom(p Program, opt Options, st *stopper) *Result {
 	if opt.Workers > 1 {
 		cursor = runRandomParallel(p, &opt, plan, res, seen, st, startExec)
 	} else {
-		ws := &workerState{tid: 1, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), 1)}
+		ws := newWorkerState(p, &opt, 1)
 		ws.tr.NameThread(ws.tid, "worker-1")
 		for cursor < opt.Executions && !st.stopped() {
 			o := randomExecution(p, &opt, plan, ws, cursor)

@@ -96,7 +96,7 @@ func runRandomParallel(p Program, opt *Options, plan *randomPlan, res *Result, s
 			defer wg.Done()
 			// worker-lifetime reusable world + scratch; tid id+1 is the
 			// worker's trace timeline (tid 0 is the campaign thread).
-			ws := &workerState{tid: id + 1, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), id+1)}
+			ws := newWorkerState(p, opt, id+1)
 			ws.tr.NameThread(ws.tid, "worker-"+strconv.Itoa(ws.tid))
 			metered := ws.wm.IdleNanos != nil
 			for {
@@ -339,11 +339,10 @@ type mcWorkerState struct {
 // workers draining a canonically ordered queue of work units, with
 // busy units donating trail cuts to hungry workers.
 type mcEngine struct {
-	p         Program
-	opt       *Options
-	st        *stopper
-	numPre    int
-	reentrant bool
+	p      Program
+	opt    *Options
+	st     *stopper
+	numPre int
 
 	wg sync.WaitGroup
 	// reg is the campaign metrics registry (nil when observability is
@@ -392,12 +391,11 @@ type mcEngine struct {
 
 func newMCEngine(p Program, opt *Options, st *stopper) *mcEngine {
 	e := &mcEngine{
-		p:         p,
-		opt:       opt,
-		st:        st,
-		numPre:    len(p.Phases()) - 1,
-		reentrant: phasesReentrant(p),
-		reg:       opt.Obs.Reg(),
+		p:      p,
+		opt:    opt,
+		st:     st,
+		numPre: len(p.Phases()) - 1,
+		reg:    opt.Obs.Reg(),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if !opt.NoStateCache && e.numPre > 0 {
@@ -677,13 +675,7 @@ func (e *mcEngine) worker(id int) {
 	wm := obs.WorkerInstruments(e.reg, tid)
 	e.opt.tr.NameThread(tid, "worker-"+strconv.Itoa(tid))
 	metered := wm.IdleNanos != nil
-	ws := &mcWorkerState{ctl: &controller{}}
-	if e.reentrant {
-		// Reentrant phase slices are world-pure; resolve once. The
-		// non-reentrant (InstancedProgram) contract is one Phases call
-		// per execution, done per execution in runUnit.
-		ws.phases = e.p.Phases()
-	}
+	ws := &mcWorkerState{ctl: &controller{}, phases: e.p.Phases()}
 	for {
 		var idleStart time.Time
 		if metered {
@@ -749,9 +741,9 @@ func (e *mcEngine) worker(id int) {
 // stream: after every crash the world is snapshotted; after a backtrack
 // the deepest snapshot whose decision prefix is still unchanged is
 // restored and only the suffix phases re-run. Bit-identical results,
-// integer-factor fewer phase executions. Snapshots require reentrant
-// phases (ReentrantPhases): a resume re-enters a later phase without
-// re-running earlier ones.
+// integer-factor fewer phase executions. A resume re-enters a later
+// phase without re-running earlier ones, which the world-pure Program
+// contract makes sound.
 func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 	sub := u.sub
 	ctl := ws.ctl
@@ -762,7 +754,7 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 		ws.w.Checker.ForgetReported() // the unit is the dedup scope (dedupExec)
 	}
 	first := u.classify
-	useSnaps := e.reentrant && !e.opt.DisableSnapshots && !e.opt.FreshWorlds
+	useSnaps := !e.opt.DisableSnapshots && !e.opt.FreshWorlds
 	// Donation gating: armed chaos injection disables demand-driven
 	// donation (unit-local fault ordinals must not depend on scheduler
 	// timing) unless ForceSteals makes the unit tree trail-driven.
@@ -865,15 +857,11 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 			ctl.pos = 0
 		}
 		installProbe(ws.w, e.opt, len(u.execs))
-		ph := ws.phases
-		if ph == nil {
-			ph = e.p.Phases()
-		}
 		oc := onCrash
 		if !first && !useSnaps {
 			oc = nil // no per-crash work left; keep the hot path bare
 		}
-		aborted, pruned, execErr := runPhasesMC(ph, ws.w, ctl, startPhase, oc, e.opt.tr, tid)
+		aborted, pruned, execErr := runPhasesMC(ws.phases, ws.w, ctl, startPhase, oc, e.opt.tr, tid)
 		switch {
 		case pruned:
 			e.opt.em.Pruned.Inc()

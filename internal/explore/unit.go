@@ -240,7 +240,7 @@ func runMCUnit(p Program, opt *Options, st *stopper, spec UnitSpec, hooks UnitHo
 // reused world.
 func runRandomUnit(p Program, opt *Options, st *stopper, spec UnitSpec, hooks UnitHooks) *UnitResult {
 	plan := planRandom(p, opt)
-	ws := &workerState{tid: 1, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), 1)}
+	ws := newWorkerState(p, opt, 1)
 	ur := &UnitResult{}
 	seen := make(map[string]bool)
 	for exec := spec.Random.Lo; exec < spec.Random.Hi; exec++ {

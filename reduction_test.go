@@ -93,7 +93,7 @@ func digestProgram(digests *[]uint64, mu *sync.Mutex) explore.Program {
 // words, which makes a restore from a stale second-crash snapshot — one
 // whose phase-1 reads a backtrack has since changed — visible. All
 // cross-phase state flows through persistent memory, so the phases stay
-// reentrant.
+// world-pure.
 func twoCrashDigestProgram(digests *[]uint64, mu *sync.Mutex) explore.Program {
 	src := []memmodel.Addr{0x2000, 0x2008, 0x2040}
 	derived := []memmodel.Addr{0x4000, 0x4040}
@@ -182,27 +182,24 @@ func TestSnapshotEquivalenceAcrossModels(t *testing.T) {
 
 // TestSnapshotEquivalenceOnBenchmarks runs the same A/B on the real
 // benchmark ports at both worker counts the determinism suite pins.
-// Restores are summed over the ports: P-ART and P-BwTree are
-// InstancedPrograms, whose phases are not reentrant, and restore none.
+// Every port must restore at least one snapshot at each worker count,
+// or its equivalence proves nothing.
 func TestSnapshotEquivalenceOnBenchmarks(t *testing.T) {
 	execs := scaled(400)
-	restores, ran := 0, 0
 	for _, b := range benchmarks.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			ran++
 			for _, workers := range []int{1, 8} {
 				opt := explore.Options{Mode: explore.ModelCheck, Executions: execs, Workers: workers}
 				on := explore.Run(b.Build(bench.Buggy), opt)
 				opt.DisableSnapshots = true
 				off := explore.Run(b.Build(bench.Buggy), opt)
 				assertSameReducedOutcome(t, b.Name, on, off)
-				restores += on.SnapshotRestores
+				if on.SnapshotRestores == 0 {
+					t.Fatalf("workers=%d: no snapshot restored — the equivalence proves nothing", workers)
+				}
 			}
 		})
-	}
-	if ran == len(benchmarks.All()) && restores == 0 && !t.Failed() {
-		t.Fatal("no benchmark port restored a snapshot — the equivalence proves nothing")
 	}
 }
 
